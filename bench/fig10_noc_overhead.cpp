@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   flags.define("dist-l", "80", "sketch length of the distributed run");
   flags.define("dist-monitors", "9", "local monitors of the distributed run");
   flags.define("model-backend", "warm",
-               "NOC model backend of the distributed run: "
-               "exact | warm | rsvd | fd");
+               "NOC model backend of the distributed run: exact | warm");
   flags.define("hier-topology", "synth15",
                "topology of the hierarchical accounting run");
   flags.define("hier-monitors", "200",
@@ -140,7 +139,7 @@ int main(int argc, char** argv) {
     config.sketch_rows = static_cast<std::size_t>(flags.integer("dist-l"));
     config.rank_policy = RankPolicy::fixed(6);
     config.seed = scenario.seed ^ 0xd15cULL;
-    config.backend.kind = parse_model_backend(flags.str("model-backend"));
+    config.backend = parse_model_backend(flags.str("model-backend"));
     DistributedDetector deployment(
         trace.num_flows(),
         static_cast<std::size_t>(flags.integer("dist-monitors")), config);

@@ -92,12 +92,7 @@ void BM_NocRefitBackend(benchmark::State& state, ModelBackendKind kind) {
     }
     drifted.push_back(std::move(z));
   }
-  ModelBackendConfig config;
-  config.kind = kind;
-  const auto backend = make_model_backend(config, m);
-  if (backend->wants_rows()) {
-    for (std::size_t i = 0; i < l; ++i) backend->absorb_row(base.row_span(i));
-  }
+  const auto backend = make_model_backend(kind, m);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend->fit_rows(
@@ -108,10 +103,6 @@ void BM_NocRefitBackend(benchmark::State& state, ModelBackendKind kind) {
 BENCHMARK_CAPTURE(BM_NocRefitBackend, exact, ModelBackendKind::kExact)
     ->Arg(81)->Arg(121)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_NocRefitBackend, warm, ModelBackendKind::kWarm)
-    ->Arg(81)->Arg(121)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NocRefitBackend, rsvd, ModelBackendKind::kRsvd)
-    ->Arg(81)->Arg(121)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NocRefitBackend, fd, ModelBackendKind::kFd)
     ->Arg(81)->Arg(121)->Unit(benchmark::kMillisecond);
 
 }  // namespace

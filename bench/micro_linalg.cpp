@@ -3,7 +3,6 @@
 
 #include "linalg/eigen_sym.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/rand_range.hpp"
 #include "linalg/svd.hpp"
 #include "obs/bench_main.hpp"
 #include "par/thread_pool.hpp"
@@ -63,30 +62,6 @@ void BM_EigenSymmetricWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EigenSymmetricWarm)->Arg(41)->Arg(81)->Arg(121);
-
-void BM_RandRangeFinder(benchmark::State& state) {
-  // The rsvd backend's refit kernel: top-(k+p) eigenpairs of the m x m Gram
-  // via the seeded randomized range finder at the backend's default knobs
-  // (k = 12, p = 8, q = 2). Compare against BM_EigenSymmetric (the exact
-  // cold solve) at equal m.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix g = gram(random_matrix(2 * m, m, 2));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rand_eigen_top_k(g, 12, 8, 2, seed++));
-  }
-}
-BENCHMARK(BM_RandRangeFinder)->Arg(41)->Arg(81)->Arg(121);
-
-void BM_EigenTopK(benchmark::State& state) {
-  // Only the r leading components: orthogonal iteration at k = 6.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const Matrix g = gram(random_matrix(2 * m, m, 3));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eigen_top_k(g, 6, 1e-8));
-  }
-}
-BENCHMARK(BM_EigenTopK)->Arg(41)->Arg(81)->Arg(121);
 
 void BM_SvdSketchShape(benchmark::State& state) {
   // The NOC decomposition: l x m sketch matrices.

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "rand/xoshiro256.hpp"
 #include "sketch/flow_sketch.hpp"
 #include "stream/exponential_histogram.hpp"
-#include "stream/frequent_directions.hpp"
 #include "stream/variance_histogram.hpp"
 #include "traffic/trace.hpp"
 
@@ -43,24 +41,6 @@ BENCHMARK(BM_VarianceHistogramAdd)
     ->Args({4032, 10})
     ->Args({20160, 10})
     ->Args({65536, 20});
-
-void BM_FrequentDirectionsAppend(benchmark::State& state) {
-  // Amortized per-row cost of the fd backend's sketch at its default size
-  // (l = 48), including the periodic O(l^2 m) shrink cycles.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  FrequentDirections fd(48, m);
-  Xoshiro256 gen(3);
-  constexpr std::size_t kRows = 256;
-  std::vector<double> rows(kRows * m);
-  for (double& v : rows) v = standard_normal(gen);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    fd.append(std::span<const double>(rows.data() + (i % kRows) * m, m));
-    ++i;
-  }
-  state.counters["shrinks"] = static_cast<double>(fd.shrinks());
-}
-BENCHMARK(BM_FrequentDirectionsAppend)->Arg(81)->Arg(121);
 
 void BM_VarianceHistogramAggregate(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

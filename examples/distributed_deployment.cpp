@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                "message carrier: sim (in-process queues) or tcp (loopback "
                "sockets with real framing)");
   flags.define("model-backend", "warm",
-               "NOC model backend: exact | warm | rsvd | fd");
+               "NOC model backend: exact | warm");
   define_threads_flag(flags);
   define_observability_flags(flags);
   try {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.integer("sketch-rows"));
     config.rank_policy = RankPolicy::fixed(6);
     config.seed = seed ^ 0xd15cULL;
-    config.backend.kind = parse_model_backend(flags.str("model-backend"));
+    config.backend = parse_model_backend(flags.str("model-backend"));
     const auto num_monitors =
         static_cast<std::size_t>(flags.integer("monitors"));
     const std::string transport_kind = flags.str("transport");

@@ -62,16 +62,23 @@ class ByteReader final {
     return value;
   }
 
+  /// Reads a u64 element count and rejects one that the rest of the buffer
+  /// cannot hold at `min_item_bytes` per element, so a hostile count never
+  /// reaches an allocation.
+  [[nodiscard]] std::size_t get_count(std::size_t min_item_bytes) {
+    const auto count = get<std::uint64_t>();
+    // Divide instead of multiplying: `count * min_item_bytes` can wrap
+    // around for a hostile count, which would pass the bounds check.
+    if (count > remaining() / min_item_bytes) {
+      throw ProtocolError("ByteReader: truncated array");
+    }
+    return static_cast<std::size_t>(count);
+  }
+
   template <typename T>
   [[nodiscard]] std::vector<T> get_all() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto count = get<std::uint64_t>();
-    // Divide instead of multiplying: `count * sizeof(T)` can wrap around for
-    // a hostile length field, which would pass the bounds check and then
-    // allocate/copy out of bounds.
-    if (count > remaining() / sizeof(T)) {
-      throw ProtocolError("ByteReader: truncated array");
-    }
+    const std::size_t count = get_count(sizeof(T));
     std::vector<T> values(count);
     if (count > 0) {
       std::memcpy(values.data(), buffer_.data() + offset_, count * sizeof(T));

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/serialize.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "pca/pca_model.hpp"
@@ -61,6 +62,13 @@ struct RankPolicy {
   [[nodiscard]] std::size_t select(const PcaModel& model,
                                    const Matrix& fitted_data) const;
 };
+
+/// Checkpoint codec shared by the SPCA and SPCN blobs: u8 kind
+/// | u64 fixed_rank | f64 energy_fraction | f64 ksigma_k | f64 scree_knee.
+/// read_rank_policy throws ProtocolError on an unknown kind or on a
+/// parameter the selection rules reject.
+void write_rank_policy(ByteWriter& out, const RankPolicy& policy);
+[[nodiscard]] RankPolicy read_rank_policy(ByteReader& in);
 
 /// A streaming network-wide anomaly detector: consumes one measurement
 /// vector per interval and yields a verdict.

@@ -15,7 +15,7 @@ LakhinaDetector::LakhinaDetector(std::size_t dimensions,
                                  const LakhinaConfig& config)
     : m_(dimensions),
       config_(config),
-      backend_(make_model_backend(config.backend, dimensions, config.window)),
+      backend_(make_model_backend(config.backend, dimensions)),
       sum_(dimensions),
       gram_(dimensions, dimensions),
       last_centered_(dimensions) {
@@ -33,7 +33,6 @@ Detection LakhinaDetector::observe(std::int64_t t, const Vector& x) {
 
   SPCA_EXPECTS(x.size() == m_);
   const ScopedTimer timer(observe_seconds);
-  if (backend_->wants_rows()) backend_->absorb_row(x.span());
   if (!shift_) shift_ = x;
 
   // Shifted copy keeps accumulator magnitudes small (see header).
@@ -124,10 +123,7 @@ void LakhinaDetector::refresh_model() {
       fitted_data.set_row(i, row);
     }
   }
-  // Truncated backends (rsvd/fd) only recover basis_cols genuine axes; the
-  // normal subspace cannot extend past them.
-  rank_ = std::min(config_.rank_policy.select(*model_, fitted_data),
-                   std::max<std::size_t>(model_->basis_cols(), 1));
+  rank_ = config_.rank_policy.select(*model_, fitted_data);
   threshold_squared_ = q_statistic_threshold_squared(
       model_->singular_values(), rank_, window_.size(), config_.alpha);
 }

@@ -39,8 +39,8 @@ struct LakhinaConfig {
   /// Recompute the eigendecomposition every this many intervals (1 = always,
   /// the exact method; larger values trade recency for speed).
   std::size_t recompute_period = 1;
-  /// Model-fitting strategy (exact | warm | rsvd | fd) and its tuning knobs.
-  ModelBackendConfig backend;
+  /// Model-fitting strategy (exact | warm).
+  ModelBackendKind backend = ModelBackendKind::kWarm;
 };
 
 /// The exact PCA-subspace detector.

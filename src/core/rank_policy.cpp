@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 #include "core/detector.hpp"
 
 namespace spca {
@@ -26,6 +27,31 @@ std::size_t RankPolicy::select(const PcaModel& model,
       break;
   }
   return std::clamp<std::size_t>(r, 1, m > 1 ? m - 1 : 1);
+}
+
+void write_rank_policy(ByteWriter& out, const RankPolicy& policy) {
+  out.put(static_cast<std::uint8_t>(policy.kind));
+  out.put(static_cast<std::uint64_t>(policy.fixed_rank));
+  out.put(policy.energy_fraction);
+  out.put(policy.ksigma_k);
+  out.put(policy.scree_knee);
+}
+
+RankPolicy read_rank_policy(ByteReader& in) {
+  const auto kind = in.get<std::uint8_t>();
+  RankPolicy policy;
+  policy.kind = static_cast<RankPolicy::Kind>(kind);
+  policy.fixed_rank = static_cast<std::size_t>(in.get<std::uint64_t>());
+  policy.energy_fraction = in.get<double>();
+  policy.ksigma_k = in.get<double>();
+  policy.scree_knee = in.get<double>();
+  if (kind > static_cast<std::uint8_t>(RankPolicy::Kind::kScree) ||
+      !(policy.energy_fraction > 0.0 && policy.energy_fraction <= 1.0) ||
+      !(policy.ksigma_k > 0.0) ||
+      !(policy.scree_knee > 0.0 && policy.scree_knee <= 1.0)) {
+    throw ProtocolError("rank policy: invalid value in checkpoint");
+  }
+  return policy;
 }
 
 }  // namespace spca

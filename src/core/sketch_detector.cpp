@@ -15,7 +15,7 @@ SketchDetector::SketchDetector(std::size_t dimensions,
                                const SketchDetectorConfig& config)
     : m_(dimensions),
       config_(config),
-      backend_(make_model_backend(config.backend, dimensions, config.window)),
+      backend_(make_model_backend(config.backend, dimensions)),
       last_centered_(dimensions) {
   SPCA_EXPECTS(dimensions >= 2);
   SPCA_EXPECTS(config.window >= 2);
@@ -51,7 +51,6 @@ Detection SketchDetector::observe(std::int64_t t, const Vector& x) {
   for (std::size_t j = 0; j < m_; ++j) {
     flows_[j].add(t, x[j]);
   }
-  if (backend_->wants_rows()) backend_->absorb_row(x.span());
   ++observed_;
 
   Detection det;
@@ -130,10 +129,7 @@ void SketchDetector::refresh_model() {
   {
     const ScopedTimer timer(svd_seconds);
     model_ = backend_->fit_rows(z, std::move(means), n_eff);
-    // Truncated backends (rsvd/fd) only recover basis_cols genuine axes;
-    // the normal subspace cannot extend past them.
-    rank_ = std::min(config_.rank_policy.select(model_, z),
-                     std::max<std::size_t>(model_.basis_cols(), 1));
+    rank_ = config_.rank_policy.select(model_, z);
     threshold_squared_ = q_statistic_threshold_squared(
         model_.singular_values(), rank_, n_eff, config_.alpha);
   }

@@ -44,8 +44,8 @@ struct SketchDetectorConfig {
   std::uint64_t seed = 42;
   /// Lazy mode: refresh the PCA only when the stale model raises a hand.
   bool lazy = true;
-  /// Model-fitting strategy (exact | warm | rsvd | fd) and its tuning knobs.
-  ModelBackendConfig backend;
+  /// Model-fitting strategy (exact | warm).
+  ModelBackendKind backend = ModelBackendKind::kWarm;
 };
 
 /// Sketch-based streaming PCA detector.

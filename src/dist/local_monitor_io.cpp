@@ -5,7 +5,7 @@
 //   projection: u8 kind | u64 seed | f64 sparsity
 //   u32[] flow ids
 //   counter: f64[] unflushed buckets | u64 intervals_completed
-//   per sketch (omitted when counter_only):
+//   per sketch (omitted when counter_only; see FlowSketch::save_state):
 //     i64 now | u64 bucket_count
 //     per bucket: i64 timestamp | u64 count | f64 mean | f64 variance
 //                 | f64[] payload
@@ -15,7 +15,8 @@
 // This is everything a monitor owns: a restore answers the next sketch
 // request bit-identically to a monitor that never died. The surrounding
 // file-level CRC/versioning lives in fault/checkpoint (CheckpointStore);
-// this blob only has to be internally consistent.
+// this blob only has to be internally consistent, and restore rejects any
+// field the monitor could not have written as ProtocolError.
 #include <utility>
 
 #include "common/serialize.hpp"
@@ -48,18 +49,7 @@ std::vector<std::byte> LocalMonitor::save_state() const {
   out.put_all(counter_.buckets());
   out.put(counter_.intervals_completed());
 
-  for (const FlowSketch& sketch : sketches_) {
-    const VarianceHistogram& vh = sketch.histogram();
-    out.put(vh.now());
-    out.put(static_cast<std::uint64_t>(vh.buckets().size()));
-    for (const VhBucket& b : vh.buckets()) {
-      out.put(b.timestamp);
-      out.put(b.count);
-      out.put(b.mean);
-      out.put(b.variance);
-      out.put_all(b.payload);
-    }
-  }
+  for (const FlowSketch& sketch : sketches_) sketch.save_state(out);
   out.put(static_cast<std::uint8_t>(scorer_ ? 1 : 0));
   if (scorer_) scorer_->save(out);
   return std::move(out).take();
@@ -79,14 +69,17 @@ LocalMonitor LocalMonitor::restore_state(const std::vector<std::byte>& blob) {
   const auto epsilon = in.get<double>();
   const auto sketch_rows = static_cast<std::size_t>(in.get<std::uint64_t>());
   const bool counter_only = in.get<std::uint8_t>() != 0;
-  const auto kind = static_cast<ProjectionKind>(in.get<std::uint8_t>());
+  const auto kind = in.get<std::uint8_t>();
   const auto seed = in.get<std::uint64_t>();
   const auto sparsity = in.get<double>();
-  if (kind != ProjectionKind::kGaussian && kind != ProjectionKind::kTugOfWar &&
-      kind != ProjectionKind::kSparse && kind != ProjectionKind::kVerySparse) {
-    throw ProtocolError("LocalMonitor::restore_state: bad projection kind");
+  FlowSketch::validate_config(window, epsilon, sketch_rows, kind, sparsity);
+  // The monitor stores the sparsity its source runs with, which is >= 1 for
+  // every kind (the very-sparse one included).
+  if (!(sparsity >= 1.0)) {
+    throw ProtocolError("LocalMonitor::restore_state: bad sparsity");
   }
-  const ProjectionSource projection(kind, seed, sparsity);
+  const ProjectionSource projection(static_cast<ProjectionKind>(kind), seed,
+                                    sparsity);
 
   if (id == kNocId) {
     throw ProtocolError("LocalMonitor::restore_state: bad monitor id");
@@ -105,27 +98,9 @@ LocalMonitor LocalMonitor::restore_state(const std::vector<std::byte>& blob) {
   const auto intervals = in.get<std::uint64_t>();
   monitor.counter_ = VolumeCounter::from_state(std::move(buckets), intervals);
 
-  if (!counter_only) {
-    monitor.sketches_.clear();
-    monitor.sketches_.reserve(monitor.flows_.size());
-    for (std::size_t j = 0; j < monitor.flows_.size(); ++j) {
-      const auto now = in.get<std::int64_t>();
-      const auto bucket_count = in.get<std::uint64_t>();
-      std::vector<VhBucket> vh_buckets;
-      vh_buckets.reserve(bucket_count);
-      for (std::uint64_t b = 0; b < bucket_count; ++b) {
-        VhBucket bucket;
-        bucket.timestamp = in.get<std::int64_t>();
-        bucket.count = in.get<std::uint64_t>();
-        bucket.mean = in.get<double>();
-        bucket.variance = in.get<double>();
-        bucket.payload = in.get_all<double>();
-        vh_buckets.push_back(std::move(bucket));
-      }
-      monitor.sketches_.push_back(FlowSketch::from_state(
-          window, epsilon, sketch_rows, projection, std::move(vh_buckets),
-          now));
-    }
+  for (FlowSketch& sketch : monitor.sketches_) {
+    sketch = FlowSketch::restore_state(in, window, epsilon, sketch_rows,
+                                       projection);
   }
   if (in.get<std::uint8_t>() != 0) {
     monitor.scorer_ = FirstLineScorer::restore(in);

@@ -35,7 +35,7 @@ NocConfig noc_config_from(const SketchDetectorConfig& config,
 Noc::Noc(std::size_t num_flows, const NocConfig& config)
     : m_(num_flows),
       config_(config),
-      backend_(make_model_backend(config.backend, num_flows, config.window)),
+      backend_(make_model_backend(config.backend, num_flows)),
       flow_state_(num_flows) {
   SPCA_EXPECTS(num_flows >= 2);
   SPCA_EXPECTS(config.sketch_rows >= 1);
@@ -89,9 +89,6 @@ Vector Noc::assemble_volumes(std::int64_t t,
       }
     });
   }
-  // The fd backend sketches the measurement stream itself, so it must see
-  // every assembled network-wide row as it arrives.
-  if (backend_->wants_rows()) backend_->absorb_row(x.span());
   return x;
 }
 
@@ -175,10 +172,7 @@ void Noc::refit() {
       },
       /*min_grain=*/64);
   model_ = backend_->fit_rows(z, means, n_eff);
-  // Truncated backends (rsvd/fd) only recover basis_cols genuine axes; the
-  // normal subspace cannot extend past them.
-  rank_ = std::min(config_.rank_policy.select(*model_, z),
-                   std::max<std::size_t>(model_->basis_cols(), 1));
+  rank_ = config_.rank_policy.select(*model_, z);
   threshold_squared_ = q_statistic_threshold_squared(
       model_->singular_values(), rank_, n_eff, config_.alpha);
 }

@@ -54,8 +54,8 @@ struct NocConfig {
   ProjectionKind projection = ProjectionKind::kGaussian;
   double sparsity = 3.0;
   std::uint64_t seed = 42;
-  /// Model-fitting strategy (exact | warm | rsvd | fd) and its tuning knobs.
-  ModelBackendConfig backend;
+  /// Model-fitting strategy (exact | warm).
+  ModelBackendKind backend = ModelBackendKind::kWarm;
 };
 
 /// Derives the NOC-side configuration from the shared detector parameters

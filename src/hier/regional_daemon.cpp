@@ -92,6 +92,10 @@ RegionSnapshot decode_region_snapshot(const std::vector<std::byte>& blob) {
   snap.regions = r.u32();
   snap.region = r.u32();
   const std::uint32_t count = r.u32();
+  // Bound the count by the bytes left before it reaches an allocation.
+  if (count > (blob.size() - r.pos) / sizeof(std::uint32_t)) {
+    throw ProtocolError("region snapshot: monitor count exceeds blob");
+  }
   snap.monitors.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) snap.monitors.push_back(r.u32());
   snap.next_interval = r.i64();

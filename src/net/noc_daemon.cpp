@@ -88,9 +88,9 @@ ScenarioRun NocDaemon::run() {
     if (auto snap = store->load_latest()) {
       try {
         // The expected-backend check rejects a snapshot whose model backend
-        // differs from the configured one: backend state (warm basis, rsvd
-        // refit counter, fd sketch) is not interchangeable, and silently
-        // refitting cold would break the bit-identical-restore guarantee.
+        // differs from the configured one: backend state (the warm basis) is
+        // not interchangeable, and silently refitting cold would break the
+        // bit-identical-restore guarantee.
         Noc restored = Noc::restore_state(
             snap->payload,
             parse_model_backend(config_.scenario.model_backend));

@@ -97,7 +97,7 @@ NetScenario build_scenario(const NetScenarioConfig& config) {
   detector.rank_policy = RankPolicy::fixed(3);
   detector.seed = config.seed;
   detector.lazy = true;
-  detector.backend.kind = parse_model_backend(config.model_backend);
+  detector.backend = parse_model_backend(config.model_backend);
   return NetScenario{config, std::move(trace), detector};
 }
 
@@ -162,7 +162,7 @@ void define_scenario_flags(CliFlags& flags) {
   flags.define("seed", "7", "Deterministic world seed");
   flags.define("anomalies", "4", "Anomaly episodes injected after warm-up");
   flags.define("model-backend", "warm",
-               "NOC model backend: exact | warm | rsvd | fd");
+               "NOC model backend: exact | warm");
   flags.define("fusion", "off",
                "Ensemble fusion rule: off | any | all | weighted");
 }

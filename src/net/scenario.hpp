@@ -41,7 +41,7 @@ struct NetScenarioConfig {
   std::uint64_t seed = 7;
   /// Labelled anomaly episodes injected after warm-up.
   std::size_t anomalies = 4;
-  /// Model-fitting strategy of the NOC refit: exact | warm | rsvd | fd.
+  /// Model-fitting strategy of the NOC refit: exact | warm.
   std::string model_backend = "warm";
   /// Fusion rule of the ensemble detection plane: off | any | all |
   /// weighted. Anything but "off" makes every monitor run the first-line

@@ -158,8 +158,6 @@ const MetricInfo kCatalog[] = {
      "Jacobi sweeps spent by the model backends across refits."},
     {"spca.pca.drift_restarts", MetricKind::kCounter,
      "Warm-backend cold restarts triggered by subspace drift."},
-    {"spca.pca.fd_shrinks", MetricKind::kCounter,
-     "Frequent-Directions sketch shrink operations."},
     {"spca.pca.refit_seconds", MetricKind::kHistogram,
      "Model-backend fit time per refit (any backend)."},
     {"spca.sketch.batches", MetricKind::kCounter,

@@ -1,4 +1,4 @@
-// The four ModelBackend implementations. They live behind the factory so
+// The two ModelBackend implementations. They live behind the factory so
 // call sites depend only on the interface; tests exercise them through
 // make_model_backend with the kind they want.
 #include <algorithm>
@@ -8,17 +8,19 @@
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "linalg/eigen_sym.hpp"
-#include "linalg/rand_range.hpp"
-#include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "pca/backend/model_backend.hpp"
-#include "rand/splitmix64.hpp"
-#include "stream/frequent_directions.hpp"
 
 namespace spca {
 
 namespace {
+
+/// Warm backend tuning. Subspace-rotation drift (1 - mean |<v_new, v_old>|
+/// over the top kDriftAxes axes) beyond which the next refit restarts cold.
+/// The warm solve's sweep budget is eigen_symmetric_warm's default.
+constexpr double kDriftThreshold = 0.25;
+constexpr std::size_t kDriftAxes = 12;
 
 Histogram& refit_seconds_metric() {
   static Histogram& h =
@@ -38,11 +40,6 @@ Counter& drift_restarts_metric() {
   return c;
 }
 
-Counter& fd_shrinks_metric() {
-  static Counter& c = MetricsRegistry::global().counter("spca.pca.fd_shrinks");
-  return c;
-}
-
 /// sqrt(max(lambda, 0)) for every eigenvalue: the eigenvalues of a centered
 /// Gram matrix are squared singular values, with tiny negatives from
 /// rounding clamped away.
@@ -54,61 +51,6 @@ Vector singular_from_eigen(const Vector& eigenvalues) {
   return out;
 }
 
-/// Assembles a full m-length spectrum and zero-padded m x m basis from a
-/// truncated head of `head_values` / `head_basis` (m x d). The unseen tail
-/// carries `tail_mass` of squared singular mass exactly (so phi_1 of the
-/// Q-statistic is conserved), shaped as a geometric continuation of the
-/// head's decay: backbone spectra fall smoothly across all m components,
-/// and a flat tail at the average level badly underestimates phi_2/phi_3 —
-/// which shrinks the Q threshold and floods the detector with false
-/// alarms. The decay ratio comes from the last two head eigenvalues,
-/// clamped away from 0 and 1; a degenerate head falls back to uniform.
-PcaModel model_from_truncated(const Vector& head_values,
-                              const Matrix& head_basis, Vector column_means,
-                              std::uint64_t sample_count, double tail_mass) {
-  const std::size_t m = head_basis.rows();
-  const std::size_t d = head_basis.cols();
-  SPCA_EXPECTS(d <= m && head_values.size() >= d);
-  Vector values(m);
-  for (std::size_t j = 0; j < d; ++j) {
-    values[j] = head_values[j];
-  }
-  if (m > d && tail_mass > 0.0) {
-    double ratio = 1.0;
-    if (d >= 2 && head_values[d - 2] > 0.0 && head_values[d - 1] > 0.0) {
-      const double last = head_values[d - 1] * head_values[d - 1];
-      const double prev = head_values[d - 2] * head_values[d - 2];
-      ratio = std::clamp(last / prev, 0.05, 0.95);
-    }
-    const std::size_t tail_len = m - d;
-    double weight = 1.0;
-    double weight_sum = 0.0;
-    for (std::size_t j = 0; j < tail_len; ++j) {
-      weight *= ratio;
-      weight_sum += weight;
-    }
-    weight = 1.0;
-    for (std::size_t j = 0; j < tail_len; ++j) {
-      weight *= ratio;
-      values[d + j] = std::sqrt(tail_mass * weight / weight_sum);
-    }
-  }
-  Matrix components(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      components(i, j) = head_basis(i, j);
-    }
-  }
-  return PcaModel::from_parts(std::move(values), std::move(components),
-                              std::move(column_means), sample_count, d);
-}
-
-double trace(const Matrix& a) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) sum += a(i, i);
-  return sum;
-}
-
 // ---------------------------------------------------------------------------
 
 /// (a) The accuracy reference: exactly the pre-backend code paths — cold
@@ -116,8 +58,7 @@ double trace(const Matrix& a) {
 /// Gram matrix.
 class ExactBackend final : public ModelBackend {
  public:
-  explicit ExactBackend(const ModelBackendConfig& config)
-      : ModelBackend(config) {}
+  ExactBackend() : ModelBackend(ModelBackendKind::kExact) {}
 
   PcaModel fit_rows(const Matrix& rows, Vector column_means,
                     std::uint64_t sample_count) override {
@@ -141,13 +82,13 @@ class ExactBackend final : public ModelBackend {
 /// (b) Warm-started Jacobi (the default): seeds each refit with the
 /// previous basis, under a sweep budget with cold fallback, and drops the
 /// basis entirely — a cold restart — when the subspace rotated more than
-/// `drift_threshold` between consecutive refits (routing shifts, window
+/// kDriftThreshold between consecutive refits (routing shifts, window
 /// regime changes), since a badly stale basis makes the rotated problem
 /// *harder* than a cold start.
 class WarmBackend final : public ModelBackend {
  public:
-  WarmBackend(const ModelBackendConfig& config, std::size_t dimensions)
-      : ModelBackend(config), dims_(dimensions) {}
+  explicit WarmBackend(std::size_t dimensions)
+      : ModelBackend(ModelBackendKind::kWarm), dims_(dimensions) {}
 
   PcaModel fit_rows(const Matrix& rows, Vector column_means,
                     std::uint64_t sample_count) override {
@@ -161,14 +102,11 @@ class WarmBackend final : public ModelBackend {
                     std::uint64_t sample_count) override {
     SPCA_EXPECTS(centered_gram.rows() == dims_);
     const ScopedTimer timer(refit_seconds_metric());
-    EigenSym e =
-        basis_.empty()
-            ? eigen_symmetric(centered_gram)
-            : eigen_symmetric_warm(centered_gram, basis_, /*max_sweeps=*/64,
-                                   config_.warm_sweeps);
+    EigenSym e = basis_.empty() ? eigen_symmetric(centered_gram)
+                                : eigen_symmetric_warm(centered_gram, basis_);
     backend_sweeps_metric().inc(static_cast<std::uint64_t>(e.sweeps));
     const double drift = basis_.empty() ? 0.0 : subspace_drift(e.vectors);
-    if (drift > config_.drift_threshold) {
+    if (drift > kDriftThreshold) {
       // The subspace rotated hard; make the next refit cold instead of
       // warm-starting from a basis that no longer resembles the answer.
       basis_ = Matrix();
@@ -202,6 +140,12 @@ class WarmBackend final : public ModelBackend {
     if (flat.size() != dims_ * dims_) {
       throw ProtocolError("warm backend: bad basis shape");
     }
+    // A non-finite basis would poison the next warm solve, and with it the
+    // model every later verdict is read from.
+    if (!std::all_of(flat.begin(), flat.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      throw ProtocolError("warm backend: non-finite basis");
+    }
     basis_ = Matrix(dims_, dims_);
     for (std::size_t i = 0; i < dims_; ++i) {
       for (std::size_t j = 0; j < dims_; ++j) {
@@ -211,10 +155,11 @@ class WarmBackend final : public ModelBackend {
   }
 
  private:
-  /// 1 - mean_j |<v_new_j, v_old_j>| over the top min(rank, m) axes: 0 when
-  /// the leading eigenvectors line up (up to sign), 1 when orthogonal.
+  /// 1 - mean_j |<v_new_j, v_old_j>| over the top min(kDriftAxes, m) axes:
+  /// 0 when the leading eigenvectors line up (up to sign), 1 when
+  /// orthogonal.
   [[nodiscard]] double subspace_drift(const Matrix& fresh) const {
-    const std::size_t k = std::min(config_.rank, dims_);
+    const std::size_t k = std::min(kDriftAxes, dims_);
     double aligned = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       double dot = 0.0;
@@ -230,219 +175,16 @@ class WarmBackend final : public ModelBackend {
   Matrix basis_;  // previous components; empty => next refit is cold
 };
 
-// ---------------------------------------------------------------------------
-
-/// (c) Seeded randomized range finder: O(m^2 (k+p)) per refit. Each refit
-/// draws a fresh Gaussian test matrix from (seed, refit counter) so no
-/// adversarial subspace can hide from every draw, while the counter keeps
-/// the trajectory bit-reproducible (and is checkpointed).
-class RsvdBackend final : public ModelBackend {
- public:
-  explicit RsvdBackend(const ModelBackendConfig& config)
-      : ModelBackend(config) {}
-
-  PcaModel fit_rows(const Matrix& rows, Vector column_means,
-                    std::uint64_t sample_count) override {
-    const ScopedTimer timer(refit_seconds_metric());
-    const std::size_t m = rows.cols();
-    Svd f = rand_svd_rows(rows, config_.rank, config_.oversample,
-                          config_.power_iters, next_seed());
-    const std::size_t d = f.right.cols();
-    double total = 0.0;
-    for (std::size_t i = 0; i < rows.rows(); ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        total += rows(i, j) * rows(i, j);
-      }
-    }
-    double head = 0.0;
-    for (std::size_t j = 0; j < d; ++j) head += f.values[j] * f.values[j];
-    return model_from_truncated(f.values, f.right, std::move(column_means),
-                                sample_count, std::max(total - head, 0.0));
-  }
-
-  PcaModel fit_gram(const Matrix& centered_gram, Vector column_means,
-                    std::uint64_t sample_count) override {
-    const ScopedTimer timer(refit_seconds_metric());
-    EigenSym e = rand_eigen_top_k(centered_gram, config_.rank,
-                                  config_.oversample, config_.power_iters,
-                                  next_seed());
-    backend_sweeps_metric().inc(static_cast<std::uint64_t>(e.sweeps));
-    const Vector head_values = singular_from_eigen(e.values);
-    double head = 0.0;
-    for (std::size_t j = 0; j < head_values.size(); ++j) {
-      head += head_values[j] * head_values[j];
-    }
-    // trace(G) = sum of all squared singular values, so the unseen tail
-    // mass is exact even though its shape is approximated as uniform.
-    const double tail = std::max(trace(centered_gram) - head, 0.0);
-    return model_from_truncated(head_values, e.vectors,
-                                std::move(column_means), sample_count, tail);
-  }
-
-  void save_state(ByteWriter& out) const override { out.put(refit_counter_); }
-
-  void restore_state(ByteReader& in) override {
-    refit_counter_ = in.get<std::uint64_t>();
-  }
-
- private:
-  [[nodiscard]] std::uint64_t next_seed() {
-    return splitmix64_mix(config_.seed + refit_counter_++);
-  }
-
-  std::uint64_t refit_counter_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-
-/// (d) Frequent-Directions: absorbs every raw interval row into an l x m
-/// deterministic sketch (centered against the running mean) and refits from
-/// the sketch alone — O(l m) state independent of the window, O(l^2 m)
-/// refit via the SVD of the transposed sketch. The removed shrink mass is
-/// tracked so the residual tail estimate conserves total energy. With a
-/// window W the sketch decays by sqrt(1 - 1/W) per row, so B^T B tracks an
-/// exponentially weighted covariance with time constant W — the sketch
-/// analogue of the other backends' sliding window (a hard window cannot be
-/// maintained by an FD sketch, which has no way to subtract expired rows).
-class FdBackend final : public ModelBackend {
- public:
-  FdBackend(const ModelBackendConfig& config, std::size_t dimensions,
-            std::uint64_t window)
-      : ModelBackend(config),
-        dims_(dimensions),
-        window_(window),
-        decay_(window >= 2
-                   ? std::sqrt(1.0 - 1.0 / static_cast<double>(window))
-                   : 1.0),
-        fd_(std::max<std::size_t>(2, std::min(config.fd_rows, dimensions)),
-            dimensions),
-        mean_(dimensions) {}
-
-  [[nodiscard]] bool wants_rows() const noexcept override { return true; }
-
-  void absorb_row(std::span<const double> x) override {
-    SPCA_EXPECTS(x.size() == dims_);
-    ++rows_seen_;
-    // Exponentially weighted mean with the same time constant as the
-    // sketch: a plain running mean while filling the first window, 1/W
-    // steps after (matching the windowed backends' centering).
-    const double alpha = 1.0 / static_cast<double>(effective_rows());
-    Vector centered(dims_);
-    for (std::size_t j = 0; j < dims_; ++j) {
-      mean_[j] += (x[j] - mean_[j]) * alpha;
-      centered[j] = x[j] - mean_[j];
-    }
-    fd_.scale(decay_);
-    fd_.append(centered.span());
-  }
-
-  PcaModel fit_rows(const Matrix& rows, Vector column_means,
-                    std::uint64_t sample_count) override {
-    (void)rows;  // the sketch state, not the presented rows, is the summary
-    return fit(std::move(column_means), sample_count);
-  }
-
-  PcaModel fit_gram(const Matrix& centered_gram, Vector column_means,
-                    std::uint64_t sample_count) override {
-    (void)centered_gram;
-    return fit(std::move(column_means), sample_count);
-  }
-
-  void save_state(ByteWriter& out) const override {
-    fd_.save_state(out);
-    out.put_all(mean_.data());
-    out.put(rows_seen_);
-  }
-
-  void restore_state(ByteReader& in) override {
-    FrequentDirections fd = FrequentDirections::restore_state(in);
-    if (fd.dim() != dims_ || fd.rows() != fd_.rows()) {
-      throw ProtocolError("fd backend: sketch shape mismatch");
-    }
-    fd_ = std::move(fd);
-    Vector mean(in.get_all<double>());
-    if (mean.size() != dims_) {
-      throw ProtocolError("fd backend: bad mean accumulator");
-    }
-    mean_ = std::move(mean);
-    rows_seen_ = in.get<std::uint64_t>();
-    // Metrics are process-local, never checkpointed: don't re-count the
-    // restored sketch's historical shrinks.
-    reported_shrinks_ = fd_.shrinks();
-  }
-
- private:
-  PcaModel fit(Vector fallback_means, std::uint64_t fallback_n) {
-    const ScopedTimer timer(refit_seconds_metric());
-    fd_shrinks_metric().inc(fd_.shrinks() - reported_shrinks_);
-    reported_shrinks_ = fd_.shrinks();
-
-    // O(l^2 m): one-sided Jacobi on the l columns of B^T. The left factor
-    // holds the right singular vectors of B — the principal axes.
-    Svd f = svd(transpose(fd_.sketch()), /*want_left=*/true);
-    const std::size_t d = std::min(fd_.rows(), dims_);
-    Vector means = fallback_means;
-    std::uint64_t n = fallback_n;
-    if (rows_seen_ >= 2) {
-      // The sketch was centered against the exponentially weighted mean, so
-      // the model must center new observations the same way; the effective
-      // sample count is the decay time constant once it is reached.
-      means = mean_;
-      n = effective_rows();
-    }
-    // Every shrink subtracts its delta from *all* retained directions, so
-    // the sketch spectrum is deflated across the board, not just
-    // truncated: B^T B <= A^T A <= B^T B + Delta I. The midpoint estimate
-    // adds Delta/2 back onto every squared singular value — head and
-    // unseen tail alike — which de-biases the residual moments the Q
-    // threshold depends on (the truncated-tail reconstruction that rsvd
-    // uses would leave the whole spectrum biased low here).
-    const double compensation = fd_.deflation() / 2.0;
-    Vector values(dims_);
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double sq = j < d ? f.values[j] * f.values[j] : 0.0;
-      values[j] = std::sqrt(sq + compensation);
-    }
-    Matrix components(dims_, dims_);
-    for (std::size_t i = 0; i < dims_; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        components(i, j) = f.left(i, j);
-      }
-    }
-    return PcaModel::from_parts(std::move(values), std::move(components),
-                                std::move(means), n, d);
-  }
-
-  /// Rows the decayed sketch effectively represents: the stream length
-  /// until the window fills, then the window itself.
-  [[nodiscard]] std::uint64_t effective_rows() const noexcept {
-    return window_ >= 2 ? std::min(rows_seen_, window_) : rows_seen_;
-  }
-
-  std::size_t dims_;
-  std::uint64_t window_;
-  double decay_;  // sqrt(1 - 1/W) applied to the sketch before each append
-  FrequentDirections fd_;
-  Vector mean_;  // exponentially weighted mean of raw rows
-  std::uint64_t rows_seen_ = 0;
-  std::uint64_t reported_shrinks_ = 0;
-};
-
 }  // namespace
 
-std::unique_ptr<ModelBackend> make_model_backend(
-    const ModelBackendConfig& config, std::size_t dimensions,
-    std::uint64_t window) {
+std::unique_ptr<ModelBackend> make_model_backend(ModelBackendKind kind,
+                                                 std::size_t dimensions) {
   SPCA_EXPECTS(dimensions >= 1);
-  switch (config.kind) {
+  switch (kind) {
     case ModelBackendKind::kExact:
-      return std::make_unique<ExactBackend>(config);
+      return std::make_unique<ExactBackend>();
     case ModelBackendKind::kWarm:
-      return std::make_unique<WarmBackend>(config, dimensions);
-    case ModelBackendKind::kRsvd:
-      return std::make_unique<RsvdBackend>(config);
-    case ModelBackendKind::kFd:
-      return std::make_unique<FdBackend>(config, dimensions, window);
+      return std::make_unique<WarmBackend>(dimensions);
   }
   throw InputError("make_model_backend: unknown backend kind");
 }

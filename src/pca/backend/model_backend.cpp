@@ -1,5 +1,7 @@
 #include "pca/backend/model_backend.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace spca {
@@ -7,10 +9,8 @@ namespace spca {
 ModelBackendKind parse_model_backend(std::string_view name) {
   if (name == "exact") return ModelBackendKind::kExact;
   if (name == "warm") return ModelBackendKind::kWarm;
-  if (name == "rsvd") return ModelBackendKind::kRsvd;
-  if (name == "fd") return ModelBackendKind::kFd;
   throw InputError("unknown model backend '" + std::string(name) +
-                   "' (expected exact|warm|rsvd|fd)");
+                   "' (expected exact|warm)");
 }
 
 const char* to_string(ModelBackendKind kind) {
@@ -19,47 +19,21 @@ const char* to_string(ModelBackendKind kind) {
       return "exact";
     case ModelBackendKind::kWarm:
       return "warm";
-    case ModelBackendKind::kRsvd:
-      return "rsvd";
-    case ModelBackendKind::kFd:
-      return "fd";
   }
   return "unknown";
 }
 
-void write_backend_config(ByteWriter& out, const ModelBackendConfig& config) {
-  out.put(static_cast<std::uint8_t>(config.kind));
-  out.put(config.drift_threshold);
-  out.put(static_cast<std::int32_t>(config.warm_sweeps));
-  out.put(static_cast<std::uint64_t>(config.rank));
-  out.put(static_cast<std::uint64_t>(config.oversample));
-  out.put(static_cast<std::int32_t>(config.power_iters));
-  out.put(static_cast<std::uint64_t>(config.fd_rows));
-  out.put(config.seed);
+void write_backend_kind(ByteWriter& out, ModelBackendKind kind) {
+  out.put(static_cast<std::uint8_t>(kind));
 }
 
-ModelBackendConfig read_backend_config(ByteReader& in) {
-  ModelBackendConfig config;
+ModelBackendKind read_backend_kind(ByteReader& in) {
   const auto kind = in.get<std::uint8_t>();
-  if (kind > static_cast<std::uint8_t>(ModelBackendKind::kFd)) {
-    throw ProtocolError("model backend config: unknown backend kind");
+  if (kind > static_cast<std::uint8_t>(ModelBackendKind::kWarm)) {
+    throw ProtocolError("model backend: unknown backend kind");
   }
-  config.kind = static_cast<ModelBackendKind>(kind);
-  config.drift_threshold = in.get<double>();
-  config.warm_sweeps = in.get<std::int32_t>();
-  config.rank = static_cast<std::size_t>(in.get<std::uint64_t>());
-  config.oversample = static_cast<std::size_t>(in.get<std::uint64_t>());
-  config.power_iters = in.get<std::int32_t>();
-  config.fd_rows = static_cast<std::size_t>(in.get<std::uint64_t>());
-  config.seed = in.get<std::uint64_t>();
-  if (config.warm_sweeps < 1 || config.rank == 0 || config.fd_rows < 2 ||
-      config.power_iters < 0 || !(config.drift_threshold >= 0.0)) {
-    throw ProtocolError("model backend config: implausible values");
-  }
-  return config;
+  return static_cast<ModelBackendKind>(kind);
 }
-
-void ModelBackend::absorb_row(std::span<const double> x) { (void)x; }
 
 void ModelBackend::save_state(ByteWriter& out) const { (void)out; }
 

@@ -2,31 +2,19 @@
 // state into a fitted PcaModel.
 //
 // The refit is the NOC's dominant cost at scale (BM_EigenSymmetric/121 is
-// ~21 ms per refit), and the Q-statistic residual only needs the top-k
-// principal axes plus an accounting of the residual spectral mass. Four
-// interchangeable strategies cover the cost/accuracy space:
+// ~21 ms per refit). Two interchangeable strategies produce the same
+// verdicts:
 //
 //   exact  cold Jacobi / one-sided-Jacobi SVD — the accuracy reference
 //   warm   warm-started Jacobi seeded by the previous basis, with a
 //          drift-triggered cold restart (the default)
-//   rsvd   seeded randomized range finder, O(m^2 (k+p)) per refit
-//   fd     Frequent-Directions sketch fed incrementally as interval rows
-//          arrive, O(l m) memory and O(l^2 m)-bounded refit
 //
-// Determinism rules: every backend is bit-reproducible across runs, thread
-// counts, and checkpoint restore. rsvd derives its Gaussian test matrix
-// from (seed, refit counter) via SplitMix64, and the counter is part of the
-// checkpointed state; warm checkpoints its basis; fd checkpoints the whole
-// sketch. Truncated backends (rsvd/fd) report the recovered subspace width
-// through PcaModel::basis_cols() and estimate the residual spectrum tail
-// from conserved total mass (trace / Frobenius norm), so thresholds stay
-// finite; detection ranks must be clamped to basis_cols().
+// Determinism rules: both backends are bit-reproducible across runs, thread
+// counts, and checkpoint restore; warm checkpoints its basis.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string>
 #include <string_view>
 
 #include "common/serialize.hpp"
@@ -40,49 +28,25 @@ namespace spca {
 enum class ModelBackendKind : std::uint8_t {
   kExact = 0,
   kWarm = 1,
-  kRsvd = 2,
-  kFd = 3,
 };
 
-/// Parses "exact" | "warm" | "rsvd" | "fd"; throws InputError otherwise.
+/// Parses "exact" | "warm"; throws InputError otherwise.
 [[nodiscard]] ModelBackendKind parse_model_backend(std::string_view name);
 [[nodiscard]] const char* to_string(ModelBackendKind kind);
 
-/// Shared backend configuration; the flag plumbing only exposes `kind`, the
-/// tuning knobs keep their defaults unless a test overrides them.
-struct ModelBackendConfig {
-  ModelBackendKind kind = ModelBackendKind::kWarm;
-  /// warm: subspace-rotation drift (1 - mean |<v_new, v_old>|) over the top
-  /// `rank` axes beyond which the next refit restarts cold.
-  double drift_threshold = 0.25;
-  /// warm: sweep budget of the warm-started inner solve before it falls
-  /// back to the cold path (see eigen_symmetric_warm).
-  int warm_sweeps = 8;
-  /// rsvd/fd accuracy knobs: target subspace rank k, oversampling p, and
-  /// power iterations q of the range finder; sketch rows l of fd.
-  std::size_t rank = 12;
-  std::size_t oversample = 8;
-  int power_iters = 2;
-  std::size_t fd_rows = 48;
-  /// rsvd: base seed of the per-refit Gaussian test matrices.
-  std::uint64_t seed = 42;
-};
-
-/// Serialization helpers shared by the SPCN/SPCA checkpoint codecs.
-void write_backend_config(ByteWriter& out, const ModelBackendConfig& config);
-[[nodiscard]] ModelBackendConfig read_backend_config(ByteReader& in);
+/// Serialization helpers shared by the SPCN/SPCA checkpoint codecs: one
+/// u8 kind; an unknown value is rejected as ProtocolError.
+void write_backend_kind(ByteWriter& out, ModelBackendKind kind);
+[[nodiscard]] ModelBackendKind read_backend_kind(ByteReader& in);
 
 /// One model-fitting strategy with whatever internal state it carries
-/// between refits (warm basis, refit counter, FD sketch). Owned by a single
-/// detector/NOC; not thread-safe.
+/// between refits (the warm basis). Owned by a single detector/NOC; not
+/// thread-safe.
 class ModelBackend {
  public:
   virtual ~ModelBackend() = default;
 
-  [[nodiscard]] ModelBackendKind kind() const noexcept { return config_.kind; }
-  [[nodiscard]] const ModelBackendConfig& config() const noexcept {
-    return config_;
-  }
+  [[nodiscard]] ModelBackendKind kind() const noexcept { return kind_; }
 
   /// Fits from an l x m row matrix (the sketch matrix Z-hat, already
   /// centered by construction). `column_means` and `sample_count` carry the
@@ -98,14 +62,6 @@ class ModelBackend {
                                           Vector column_means,
                                           std::uint64_t sample_count) = 0;
 
-  /// True when the backend maintains per-interval state and must see every
-  /// raw measurement row via absorb_row (fd only).
-  [[nodiscard]] virtual bool wants_rows() const noexcept { return false; }
-
-  /// Feeds one raw (uncentered) interval measurement vector; only called
-  /// when wants_rows() is true.
-  virtual void absorb_row(std::span<const double> x);
-
   /// Serializes/restores the backend's inter-refit state. The format is
   /// kind-specific; the caller frames it inside its own versioned blob and
   /// must only restore into a backend of the same kind and shape.
@@ -113,18 +69,14 @@ class ModelBackend {
   virtual void restore_state(ByteReader& in);
 
  protected:
-  explicit ModelBackend(const ModelBackendConfig& config) : config_(config) {}
+  explicit ModelBackend(ModelBackendKind kind) : kind_(kind) {}
 
-  ModelBackendConfig config_;
+ private:
+  ModelBackendKind kind_;
 };
 
-/// Builds the backend selected by `config.kind` for `dimensions`-flow data.
-/// `window` is the owning detector's sliding-window length W: the fd
-/// backend forgets exponentially at rate 1 - 1/W so its covariance tracks
-/// an effective window of W rows like the other backends' models do
-/// (0 = never forget, the pure whole-stream sketch).
+/// Builds the backend of `kind` for `dimensions`-flow data.
 [[nodiscard]] std::unique_ptr<ModelBackend> make_model_backend(
-    const ModelBackendConfig& config, std::size_t dimensions,
-    std::uint64_t window = 0);
+    ModelBackendKind kind, std::size_t dimensions);
 
 }  // namespace spca

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/contracts.hpp"
-#include "linalg/eigen_sym.hpp"
+#include "common/error.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/svd.hpp"
 
@@ -20,48 +21,22 @@ PcaModel PcaModel::from_data(const Matrix& x) {
   Svd f = svd(y, /*want_left=*/false);
   model.singular_values_ = std::move(f.values);
   model.components_ = std::move(f.right);
-  model.basis_cols_ = model.dims_;
   return model;
 }
 
 PcaModel PcaModel::from_parts(Vector singular_values, Matrix components,
-                              Vector column_means, std::uint64_t sample_count,
-                              std::size_t basis_cols) {
+                              Vector column_means,
+                              std::uint64_t sample_count) {
   SPCA_EXPECTS(components.rows() == components.cols());
   SPCA_EXPECTS(components.rows() == singular_values.size());
   SPCA_EXPECTS(components.rows() == column_means.size());
   SPCA_EXPECTS(sample_count >= 2);
-  SPCA_EXPECTS(basis_cols <= components.cols());
   PcaModel model;
   model.dims_ = components.rows();
   model.sample_count_ = sample_count;
   model.singular_values_ = std::move(singular_values);
   model.components_ = std::move(components);
   model.means_ = std::move(column_means);
-  model.basis_cols_ = basis_cols == 0 ? model.dims_ : basis_cols;
-  return model;
-}
-
-PcaModel PcaModel::from_covariance(const Matrix& centered_gram,
-                                   Vector column_means,
-                                   std::uint64_t sample_count,
-                                   const Matrix* warm_basis) {
-  SPCA_EXPECTS(centered_gram.rows() == centered_gram.cols());
-  SPCA_EXPECTS(centered_gram.rows() == column_means.size());
-  SPCA_EXPECTS(sample_count >= 2);
-  PcaModel model;
-  model.dims_ = centered_gram.rows();
-  model.sample_count_ = sample_count;
-  model.means_ = std::move(column_means);
-  EigenSym e = warm_basis != nullptr
-                   ? eigen_symmetric_warm(centered_gram, *warm_basis)
-                   : eigen_symmetric(centered_gram);
-  model.singular_values_ = Vector(model.dims_);
-  for (std::size_t j = 0; j < model.dims_; ++j) {
-    model.singular_values_[j] = std::sqrt(std::max(e.values[j], 0.0));
-  }
-  model.components_ = std::move(e.vectors);
-  model.basis_cols_ = model.dims_;
   return model;
 }
 
@@ -76,8 +51,55 @@ PcaModel PcaModel::from_sketch(const Matrix& z_hat, Vector column_means,
   Svd f = svd(z_hat, /*want_left=*/false);
   model.singular_values_ = std::move(f.values);
   model.components_ = std::move(f.right);
-  model.basis_cols_ = model.dims_;
   return model;
+}
+
+void PcaModel::save_state(ByteWriter& out) const {
+  SPCA_EXPECTS(fitted());
+  out.put(sample_count_);
+  out.put_all(singular_values_.data());
+  std::vector<double> components(dims_ * dims_);
+  for (std::size_t i = 0; i < dims_; ++i) {
+    for (std::size_t j = 0; j < dims_; ++j) {
+      components[i * dims_ + j] = components_(i, j);
+    }
+  }
+  out.put_all(components);
+  out.put_all(means_.data());
+}
+
+PcaModel PcaModel::restore_state(ByteReader& in, std::size_t m) {
+  const auto sample_count = in.get<std::uint64_t>();
+  Vector singular_values(in.get_all<double>());
+  const std::vector<double> components_flat = in.get_all<double>();
+  Vector means(in.get_all<double>());
+  if (singular_values.size() != m || means.size() != m ||
+      components_flat.size() != m * m) {
+    throw ProtocolError("PcaModel: bad model shape in checkpoint");
+  }
+  if (sample_count < 2) {
+    throw ProtocolError("PcaModel: sample count below 2 in checkpoint");
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    if (!std::isfinite(singular_values[j]) || singular_values[j] < 0.0) {
+      throw ProtocolError("PcaModel: invalid singular value in checkpoint");
+    }
+  }
+  // A non-finite mean or component makes every later distance NaN, and
+  // NaN never exceeds the threshold: the node would restore and go silent.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::all_of(means.begin(), means.end(), finite) ||
+      !std::all_of(components_flat.begin(), components_flat.end(), finite)) {
+    throw ProtocolError("PcaModel: non-finite mean or component in checkpoint");
+  }
+  Matrix components(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      components(i, j) = components_flat[i * m + j];
+    }
+  }
+  return from_parts(std::move(singular_values), std::move(components),
+                    std::move(means), sample_count);
 }
 
 double PcaModel::component_std(std::size_t j) const {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "common/serialize.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -25,28 +26,13 @@ class PcaModel final {
   /// columns and takes the SVD of Y (exact Lakhina-style PCA).
   [[nodiscard]] static PcaModel from_data(const Matrix& x);
 
-  /// Reassembles a model from its parts (checkpoint restore, model
-  /// backends). `components` must be m x m; its first `basis_cols` columns
-  /// are genuine orthonormal principal directions matching
-  /// `singular_values`, any trailing columns are zero padding from a
-  /// truncated (rsvd/fd) fit. `basis_cols == 0` means all m columns are
-  /// genuine (the full-decomposition case).
+  /// Reassembles a model from its parts (model backends, checkpoint
+  /// restore). `components` must be m x m with orthonormal columns matching
+  /// `singular_values`.
   [[nodiscard]] static PcaModel from_parts(Vector singular_values,
                                            Matrix components,
                                            Vector column_means,
-                                           std::uint64_t sample_count,
-                                           std::size_t basis_cols = 0);
-
-  /// Fits from the centered Gram matrix G = Y^T Y (exactly what a streaming
-  /// implementation maintains incrementally). The eigenvalues of G are the
-  /// squared singular values of Y; tiny negative eigenvalues from rounding
-  /// are clamped to zero. `warm_basis`, when non-null, must be the previous
-  /// model's component matrix — consecutive sliding-window refits barely
-  /// rotate the basis, so warm-starting the eigensolver cuts its sweep
-  /// count (see eigen_symmetric_warm).
-  [[nodiscard]] static PcaModel from_covariance(
-      const Matrix& centered_gram, Vector column_means,
-      std::uint64_t sample_count, const Matrix* warm_basis = nullptr);
+                                           std::uint64_t sample_count);
 
   /// Fits from an l x m sketch matrix Z-hat (already centered by
   /// construction of eq. 17). `column_means` are the mu_all,j reported by
@@ -68,18 +54,10 @@ class PcaModel final {
     return singular_values_;
   }
 
-  /// Orthonormal principal components as columns of an m x m matrix. Only
-  /// the first basis_cols() columns are guaranteed genuine; truncated
-  /// backends zero-pad the rest.
+  /// Orthonormal principal components as columns of an m x m matrix.
   [[nodiscard]] const Matrix& components() const noexcept {
     return components_;
   }
-
-  /// Number of genuine (orthonormal, spectrum-backed) leading columns in
-  /// components(). Full decompositions report m; truncated backends report
-  /// the recovered subspace width, and detection ranks must be clamped to
-  /// it.
-  [[nodiscard]] std::size_t basis_cols() const noexcept { return basis_cols_; }
 
   [[nodiscard]] const Vector& column_means() const noexcept { return means_; }
 
@@ -103,9 +81,18 @@ class PcaModel final {
   };
   [[nodiscard]] Split split(const Vector& x, std::size_t r) const;
 
+  /// Checkpoint codec of a fitted model, shared by the SPCN and SPCA blobs:
+  /// u64 sample_count | f64[] singular_values
+  /// | f64[] components (row-major m*m) | f64[] means.
+  void save_state(ByteWriter& out) const;
+
+  /// Reads what save_state wrote for an m-flow model. Throws ProtocolError
+  /// on a bad shape, sample_count < 2, a singular value that is negative or
+  /// not finite, or a mean or component that is not finite.
+  [[nodiscard]] static PcaModel restore_state(ByteReader& in, std::size_t m);
+
  private:
   std::size_t dims_ = 0;
-  std::size_t basis_cols_ = 0;
   std::uint64_t sample_count_ = 0;
   Vector singular_values_;
   Matrix components_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "sketch/projection_batch.hpp"
 
@@ -38,11 +39,43 @@ FlowSketch::FlowSketch(std::uint64_t window, double epsilon,
   SPCA_EXPECTS(sketch_rows >= 1);
 }
 
-FlowSketch FlowSketch::from_state(std::uint64_t window, double epsilon,
-                                  std::size_t sketch_rows,
-                                  const ProjectionSource& projection,
-                                  std::vector<VhBucket> buckets,
-                                  std::int64_t now) {
+void FlowSketch::save_state(ByteWriter& out) const {
+  out.put(histogram_.now());
+  out.put(static_cast<std::uint64_t>(histogram_.buckets().size()));
+  for (const VhBucket& b : histogram_.buckets()) {
+    out.put(b.timestamp);
+    out.put(b.count);
+    out.put(b.mean);
+    out.put(b.variance);
+    out.put_all(b.payload);
+  }
+}
+
+void FlowSketch::validate_config(std::uint64_t window, double epsilon,
+                                 std::size_t sketch_rows,
+                                 std::uint8_t projection, double sparsity) {
+  constexpr auto kVerySparse =
+      static_cast<std::uint8_t>(ProjectionKind::kVerySparse);
+  if (window < 2 || !(epsilon > 0.0 && epsilon < 1.0) || sketch_rows == 0 ||
+      projection > kVerySparse ||
+      (projection != kVerySparse && !(sparsity >= 1.0))) {
+    throw ProtocolError("checkpoint: bad sketch config");
+  }
+}
+
+FlowSketch FlowSketch::restore_state(ByteReader& in, std::uint64_t window,
+                                     double epsilon, std::size_t sketch_rows,
+                                     const ProjectionSource& projection) {
+  const auto now = in.get<std::int64_t>();
+  // A bucket is at least its four scalars plus the payload length word.
+  std::vector<VhBucket> buckets(in.get_count(5 * sizeof(std::uint64_t)));
+  for (VhBucket& bucket : buckets) {
+    bucket.timestamp = in.get<std::int64_t>();
+    bucket.count = in.get<std::uint64_t>();
+    bucket.mean = in.get<double>();
+    bucket.variance = in.get<double>();
+    bucket.payload = in.get_all<double>();
+  }
   FlowSketch sketch(window, epsilon, sketch_rows, projection);
   sketch.histogram_ = VarianceHistogram::from_state(
       window, epsilon, 2 * sketch_rows, std::move(buckets), now);

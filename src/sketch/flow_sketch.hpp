@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/serialize.hpp"
 #include "linalg/vector.hpp"
 #include "rand/projection_source.hpp"
 #include "stream/variance_histogram.hpp"
@@ -46,13 +47,27 @@ class FlowSketch final {
   FlowSketch(std::uint64_t window, double epsilon, std::size_t sketch_rows,
              const ProjectionSource& projection);
 
-  /// Reconstructs a sketch from exported histogram state (checkpoint
-  /// restore); `projection` must be parameter-identical to the one used
-  /// when the state was saved or subsequent updates will be incoherent.
-  [[nodiscard]] static FlowSketch from_state(
-      std::uint64_t window, double epsilon, std::size_t sketch_rows,
-      const ProjectionSource& projection, std::vector<VhBucket> buckets,
-      std::int64_t now);
+  /// Checkpoint codec of the histogram state, shared by the SPCA, SPCN and
+  /// SPCM blobs: i64 now | u64 bucket_count | per bucket: i64 timestamp
+  /// | u64 count | f64 mean | f64 variance | f64[] payload.
+  void save_state(ByteWriter& out) const;
+
+  /// Throws ProtocolError unless a checkpoint's sketch configuration is one
+  /// a sketch can run with: window >= 2, 0 < epsilon < 1, sketch_rows >= 1,
+  /// a known projection kind, and sparsity >= 1 unless the kind is
+  /// very-sparse (that scheme derives its sparsity from the window). The
+  /// SPCA, SPCN and SPCM decoders call it before building anything.
+  static void validate_config(std::uint64_t window, double epsilon,
+                              std::size_t sketch_rows,
+                              std::uint8_t projection, double sparsity);
+
+  /// Reads what save_state wrote. The configuration arguments must be the
+  /// saving sketch's (checked by validate_config) or subsequent updates
+  /// will be incoherent. Throws ProtocolError on a bucket list the
+  /// histogram could not have produced.
+  [[nodiscard]] static FlowSketch restore_state(
+      ByteReader& in, std::uint64_t window, double epsilon,
+      std::size_t sketch_rows, const ProjectionSource& projection);
 
   /// The underlying histogram (exposed for checkpointing and tests).
   [[nodiscard]] const VarianceHistogram& histogram() const noexcept {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 
 namespace spca {
 
@@ -46,12 +47,13 @@ VarianceHistogram VarianceHistogram::from_state(std::uint64_t window,
                                                 std::vector<VhBucket> buckets,
                                                 std::int64_t now) {
   VarianceHistogram vh(window, epsilon, payload_size);
-  std::int64_t previous = now + 1;
-  for (const VhBucket& b : buckets) {
-    SPCA_EXPECTS(b.timestamp < previous);
-    SPCA_EXPECTS(b.count >= 1);
-    SPCA_EXPECTS(b.payload.size() == payload_size);
-    previous = b.timestamp;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const VhBucket& b = buckets[i];
+    const bool ordered = i == 0 ? b.timestamp <= now
+                                : b.timestamp < buckets[i - 1].timestamp;
+    if (!ordered || b.count == 0 || b.payload.size() != payload_size) {
+      throw ProtocolError("VarianceHistogram: invalid bucket list in state");
+    }
   }
   vh.buckets_.assign(buckets.begin(), buckets.end());
   vh.now_ = now;

@@ -57,8 +57,9 @@ class VarianceHistogram final {
 
   /// Reconstructs a histogram from previously exported state (see
   /// `buckets()` / `now()`): the checkpoint/restore path. `buckets` must be
-  /// newest-first with strictly decreasing timestamps, all payloads of
-  /// length `payload_size`; throws ContractViolation otherwise.
+  /// newest-first with strictly decreasing timestamps no later than `now`,
+  /// counts of at least 1, and all payloads of length `payload_size`;
+  /// throws ProtocolError otherwise.
   [[nodiscard]] static VarianceHistogram from_state(
       std::uint64_t window, double epsilon, std::size_t payload_size,
       std::vector<VhBucket> buckets, std::int64_t now);

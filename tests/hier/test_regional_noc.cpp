@@ -173,6 +173,12 @@ TEST(RegionSnapshot, RejectsCorruptBlobs) {
   bad_version[4] ^= std::byte{0xFF};
   EXPECT_THROW((void)decode_region_snapshot(bad_version), ProtocolError);
 
+  // A monitor count (u32 at byte 16) the blob cannot hold is refused before
+  // it reaches an allocation.
+  std::vector<std::byte> huge_count = blob;
+  for (std::size_t i = 16; i < 20; ++i) huge_count[i] = std::byte{0xFF};
+  EXPECT_THROW((void)decode_region_snapshot(huge_count), ProtocolError);
+
   EXPECT_THROW((void)decode_region_snapshot({}), ProtocolError);
 }
 

@@ -34,53 +34,43 @@ Matrix drifting_gram(std::size_t m, std::uint64_t seed, double noise) {
 
 Vector zero_means(std::size_t m) { return Vector(m); }
 
-ModelBackendConfig config_of(ModelBackendKind kind) {
-  ModelBackendConfig config;
-  config.kind = kind;
-  return config;
-}
-
 TEST(ModelBackend, ParseAndNameRoundTrip) {
   for (const ModelBackendKind kind :
-       {ModelBackendKind::kExact, ModelBackendKind::kWarm,
-        ModelBackendKind::kRsvd, ModelBackendKind::kFd}) {
+       {ModelBackendKind::kExact, ModelBackendKind::kWarm}) {
     EXPECT_EQ(parse_model_backend(to_string(kind)), kind);
   }
   EXPECT_THROW((void)parse_model_backend("eigen"), InputError);
   EXPECT_THROW((void)parse_model_backend(""), InputError);
+  // Names of removed backends are refused, never mapped to a default.
+  EXPECT_THROW((void)parse_model_backend("rsvd"), InputError);
+  EXPECT_THROW((void)parse_model_backend("fd"), InputError);
 }
 
 TEST(ModelBackend, ConfigCodecRoundTrip) {
-  ModelBackendConfig config;
-  config.kind = ModelBackendKind::kRsvd;
-  config.drift_threshold = 0.125;
-  config.warm_sweeps = 5;
-  config.rank = 9;
-  config.oversample = 3;
-  config.power_iters = 1;
-  config.fd_rows = 33;
-  config.seed = 777;
-  ByteWriter writer;
-  write_backend_config(writer, config);
-  const std::vector<std::byte> blob = std::move(writer).take();
-  ByteReader reader(blob);
-  const ModelBackendConfig back = read_backend_config(reader);
-  EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(back.kind, config.kind);
-  EXPECT_EQ(back.drift_threshold, config.drift_threshold);
-  EXPECT_EQ(back.warm_sweeps, config.warm_sweeps);
-  EXPECT_EQ(back.rank, config.rank);
-  EXPECT_EQ(back.oversample, config.oversample);
-  EXPECT_EQ(back.power_iters, config.power_iters);
-  EXPECT_EQ(back.fd_rows, config.fd_rows);
-  EXPECT_EQ(back.seed, config.seed);
+  for (const ModelBackendKind kind :
+       {ModelBackendKind::kExact, ModelBackendKind::kWarm}) {
+    ByteWriter writer;
+    write_backend_kind(writer, kind);
+    const std::vector<std::byte> blob = std::move(writer).take();
+    ASSERT_EQ(blob.size(), 1u);
+    ByteReader reader(blob);
+    EXPECT_EQ(read_backend_kind(reader), kind);
+    EXPECT_TRUE(reader.exhausted());
+  }
+  // Kind bytes of the removed rsvd (2) and fd (3) backends, and garbage.
+  for (const std::uint8_t unknown : {2, 3, 255}) {
+    const std::vector<std::byte> blob = {static_cast<std::byte>(unknown)};
+    ByteReader reader(blob);
+    EXPECT_THROW((void)read_backend_kind(reader), ProtocolError)
+        << int{unknown};
+  }
 }
 
 TEST(ModelBackend, WarmMatchesExactSpectrumAcrossRefits) {
   const std::size_t m = 10;
   const auto exact =
-      make_model_backend(config_of(ModelBackendKind::kExact), m);
-  const auto warm = make_model_backend(config_of(ModelBackendKind::kWarm), m);
+      make_model_backend(ModelBackendKind::kExact, m);
+  const auto warm = make_model_backend(ModelBackendKind::kWarm, m);
   for (std::uint64_t step = 0; step < 5; ++step) {
     const Matrix g = drifting_gram(m, 90 + step, 0.02);
     const PcaModel a = exact->fit_gram(g, zero_means(m), 40);
@@ -98,7 +88,7 @@ TEST(ModelBackend, WarmDriftRestartIncrementsMetricAndStaysCorrect) {
   Counter& restarts =
       MetricsRegistry::global().counter("spca.pca.drift_restarts");
   const std::size_t m = 8;
-  const auto warm = make_model_backend(config_of(ModelBackendKind::kWarm), m);
+  const auto warm = make_model_backend(ModelBackendKind::kWarm, m);
   (void)warm->fit_gram(drifting_gram(m, 95, 0.0), zero_means(m), 40);
   const std::uint64_t before = restarts.value();
   // A Gram matrix whose eigenbasis is a random rotation of the previous
@@ -122,7 +112,7 @@ TEST(ModelBackend, WarmDriftRestartIncrementsMetricAndStaysCorrect) {
   const PcaModel after = warm->fit_gram(g, zero_means(m), 40);
   EXPECT_GE(restarts.value(), before + 1);
   const auto exact =
-      make_model_backend(config_of(ModelBackendKind::kExact), m);
+      make_model_backend(ModelBackendKind::kExact, m);
   const PcaModel reference = exact->fit_gram(g, zero_means(m), 40);
   for (std::size_t j = 0; j < m; ++j) {
     EXPECT_NEAR(after.singular_values()[j], reference.singular_values()[j],
@@ -130,99 +120,13 @@ TEST(ModelBackend, WarmDriftRestartIncrementsMetricAndStaysCorrect) {
   }
 }
 
-TEST(ModelBackend, RsvdIsDeterministicAcrossInstances) {
-  const std::size_t m = 12;
-  const auto one = make_model_backend(config_of(ModelBackendKind::kRsvd), m);
-  const auto two = make_model_backend(config_of(ModelBackendKind::kRsvd), m);
-  for (std::uint64_t step = 0; step < 3; ++step) {
-    const Matrix g = drifting_gram(m, 100 + step, 0.02);
-    const PcaModel a = one->fit_gram(g, zero_means(m), 40);
-    const PcaModel b = two->fit_gram(g, zero_means(m), 40);
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(a.singular_values()[j], b.singular_values()[j])
-          << "step " << step << " value " << j;
-    }
-    EXPECT_EQ(max_abs_diff(a.components(), b.components()), 0.0);
-  }
-}
-
-TEST(ModelBackend, RsvdRecoversLeadingSpectrum) {
-  const std::size_t m = 12;
-  const Matrix g = drifting_gram(m, 110, 0.0);
-  const auto rsvd = make_model_backend(config_of(ModelBackendKind::kRsvd), m);
-  const auto exact =
-      make_model_backend(config_of(ModelBackendKind::kExact), m);
-  const PcaModel approx = rsvd->fit_gram(g, zero_means(m), 40);
-  const PcaModel reference = exact->fit_gram(g, zero_means(m), 40);
-  EXPECT_GT(approx.basis_cols(), 0u);
-  EXPECT_LE(approx.basis_cols(), m);
-  for (std::size_t j = 0; j < 6; ++j) {
-    EXPECT_NEAR(approx.singular_values()[j], reference.singular_values()[j],
-                1e-5 * reference.singular_values()[0])
-        << "value " << j;
-  }
-}
-
-TEST(ModelBackend, TruncatedBackendsConserveSpectralMass) {
-  // The synthesized tail must conserve total squared mass (phi_1 of the
-  // Q-statistic) relative to what the backend actually absorbed.
-  const std::size_t m = 12;
-  const Matrix g = drifting_gram(m, 115, 0.0);
-  const auto exact =
-      make_model_backend(config_of(ModelBackendKind::kExact), m);
-  const auto rsvd = make_model_backend(config_of(ModelBackendKind::kRsvd), m);
-  const PcaModel reference = exact->fit_gram(g, zero_means(m), 40);
-  const PcaModel approx = rsvd->fit_gram(g, zero_means(m), 40);
-  double exact_mass = 0.0, approx_mass = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    exact_mass += reference.singular_values()[j] *
-                  reference.singular_values()[j];
-    approx_mass += approx.singular_values()[j] * approx.singular_values()[j];
-  }
-  EXPECT_NEAR(approx_mass, exact_mass, 1e-6 * exact_mass);
-}
-
-TEST(ModelBackend, FdAbsorbsRowsAndFindsDominantDirection) {
-  const std::size_t m = 6;
-  ModelBackendConfig config = config_of(ModelBackendKind::kFd);
-  config.fd_rows = 4;
-  const auto fd = make_model_backend(config, m, /*window=*/32);
-  EXPECT_TRUE(fd->wants_rows());
-  Xoshiro256 gen(120);
-  std::vector<double> row(m);
-  for (int i = 0; i < 200; ++i) {
-    const double signal = 3.0 * standard_normal(gen);
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = (j == 0 ? signal : 0.0) + 0.01 * standard_normal(gen);
-    }
-    fd->absorb_row(row);
-  }
-  const PcaModel model = fd->fit_rows(Matrix(1, m), zero_means(m), 32);
-  ASSERT_TRUE(model.fitted());
-  // Dominant component is e0 up to sign.
-  EXPECT_GT(std::abs(model.components()(0, 0)), 0.99);
-  EXPECT_GT(model.singular_values()[0], model.singular_values()[1] * 5.0);
-}
-
 class BackendStateRoundTrip
     : public ::testing::TestWithParam<ModelBackendKind> {};
 
 TEST_P(BackendStateRoundTrip, SaveRestoreContinuesBitIdentically) {
   const std::size_t m = 9;
-  ModelBackendConfig config = config_of(GetParam());
-  config.fd_rows = 6;
-  const auto original = make_model_backend(config, m, /*window=*/20);
-  std::vector<double> row(m);
+  const auto original = make_model_backend(GetParam(), m);
   const auto step = [&](ModelBackend& backend, std::uint64_t seed) {
-    if (backend.wants_rows()) {
-      Xoshiro256 rows_gen(seed);
-      for (int i = 0; i < 12; ++i) {
-        for (std::size_t j = 0; j < m; ++j) {
-          row[j] = standard_normal(rows_gen);
-        }
-        backend.absorb_row(row);
-      }
-    }
     return backend.fit_gram(drifting_gram(m, seed, 0.02), zero_means(m), 20);
   };
   (void)step(*original, 1);
@@ -231,7 +135,7 @@ TEST_P(BackendStateRoundTrip, SaveRestoreContinuesBitIdentically) {
   ByteWriter writer;
   original->save_state(writer);
   const std::vector<std::byte> blob = std::move(writer).take();
-  const auto restored = make_model_backend(config, m, /*window=*/20);
+  const auto restored = make_model_backend(GetParam(), m);
   ByteReader reader(blob);
   restored->restore_state(reader);
   EXPECT_TRUE(reader.exhausted());
@@ -242,14 +146,11 @@ TEST_P(BackendStateRoundTrip, SaveRestoreContinuesBitIdentically) {
     EXPECT_EQ(a.singular_values()[j], b.singular_values()[j]) << "value " << j;
   }
   EXPECT_EQ(max_abs_diff(a.components(), b.components()), 0.0);
-  EXPECT_EQ(a.basis_cols(), b.basis_cols());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BackendStateRoundTrip,
                          ::testing::Values(ModelBackendKind::kExact,
-                                           ModelBackendKind::kWarm,
-                                           ModelBackendKind::kRsvd,
-                                           ModelBackendKind::kFd),
+                                           ModelBackendKind::kWarm),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -6,6 +6,7 @@
 
 #include "common/contracts.hpp"
 #include "linalg/stats.hpp"
+#include "pca/backend/model_backend.hpp"
 #include "rand/distributions.hpp"
 #include "rand/xoshiro256.hpp"
 
@@ -125,10 +126,13 @@ TEST(PcaModel, SplitReconstructsCenteredVector) {
 }
 
 TEST(PcaModel, FromCovarianceMatchesFromData) {
+  // The Gram path (the exact backend's fit_gram, as the Lakhina detector
+  // drives it) against the data path (SVD of the centered window).
   const Matrix x = low_rank_data(250, 0.8, 10);
   const PcaModel direct = PcaModel::from_data(x);
-  const PcaModel via_cov = PcaModel::from_covariance(
-      centered_gram(x), column_means(x), x.rows());
+  const PcaModel via_cov =
+      make_model_backend(ModelBackendKind::kExact, x.cols())
+          ->fit_gram(centered_gram(x), column_means(x), x.rows());
   for (std::size_t j = 0; j < 5; ++j) {
     EXPECT_NEAR(direct.singular_values()[j], via_cov.singular_values()[j],
                 1e-6 * (1.0 + direct.singular_values()[0]));
