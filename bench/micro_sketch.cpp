@@ -15,14 +15,18 @@ namespace {
 
 using namespace spca;
 
+// One flow per window: each iteration also computes the interval's
+// coefficient row, which an owner of w flows pays once for all w.
 void BM_FlowSketchAdd(benchmark::State& state) {
   const auto l = static_cast<std::size_t>(state.range(0));
   const ProjectionSource source(ProjectionKind::kTugOfWar, 1);
-  FlowSketch sketch(4032, 0.01, l, source);
+  ProjectionWindow window(source, l, 4032, 0.01);
+  FlowSketch sketch(window);
   Xoshiro256 gen(2);
   std::int64_t t = 0;
   for (auto _ : state) {
-    sketch.add(t++, 1e8 + 1e7 * standard_normal(gen));
+    window.advance(t);
+    sketch.add(t++, 1e8 + 1e7 * standard_normal(gen), window);
   }
 }
 BENCHMARK(BM_FlowSketchAdd)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
@@ -31,11 +35,13 @@ void BM_FlowSketchAddGaussian(benchmark::State& state) {
   // The Gaussian scheme evaluates two hashes + Box-Muller per coefficient.
   const auto l = static_cast<std::size_t>(state.range(0));
   const ProjectionSource source(ProjectionKind::kGaussian, 1);
-  FlowSketch sketch(4032, 0.01, l, source);
+  ProjectionWindow window(source, l, 4032, 0.01);
+  FlowSketch sketch(window);
   Xoshiro256 gen(3);
   std::int64_t t = 0;
   for (auto _ : state) {
-    sketch.add(t++, 1e8 + 1e7 * standard_normal(gen));
+    window.advance(t);
+    sketch.add(t++, 1e8 + 1e7 * standard_normal(gen), window);
   }
 }
 BENCHMARK(BM_FlowSketchAddGaussian)->Arg(50)->Arg(200);
@@ -43,13 +49,15 @@ BENCHMARK(BM_FlowSketchAddGaussian)->Arg(50)->Arg(200);
 void BM_FlowSketchEmit(benchmark::State& state) {
   const auto l = static_cast<std::size_t>(state.range(0));
   const ProjectionSource source(ProjectionKind::kTugOfWar, 1);
-  FlowSketch sketch(4032, 0.05, l, source);
+  ProjectionWindow window(source, l, 4032, 0.05);
+  FlowSketch sketch(window);
   Xoshiro256 gen(4);
   for (std::int64_t t = 0; t < 4032; ++t) {
-    sketch.add(t, 1e8 + 1e7 * standard_normal(gen));
+    window.advance(t);
+    sketch.add(t, 1e8 + 1e7 * standard_normal(gen), window);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sketch.sketch());
+    benchmark::DoNotOptimize(sketch.sketch(window));
   }
   state.counters["buckets"] = static_cast<double>(sketch.bucket_count());
 }
@@ -64,11 +72,8 @@ void BM_MonitorIntervalClose(benchmark::State& state) {
   const std::size_t saved = global_threads();
   set_global_threads(threads);
   const ProjectionSource source(ProjectionKind::kTugOfWar, 1);
-  std::vector<FlowSketch> bank;
-  bank.reserve(flows);
-  for (std::size_t i = 0; i < flows; ++i) {
-    bank.emplace_back(4032, 0.01, 50, source);
-  }
+  ProjectionWindow window(source, 50, 4032, 0.01);
+  std::vector<FlowSketch> bank(flows, FlowSketch(window));
   Xoshiro256 gen(5);
   Vector volumes(flows);
   for (std::size_t i = 0; i < flows; ++i) {
@@ -77,9 +82,10 @@ void BM_MonitorIntervalClose(benchmark::State& state) {
   std::int64_t t = 0;
   for (auto _ : state) {
     const std::int64_t now = t++;
+    window.advance(now);
     global_pool().parallel_for(0, flows, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        bank[i].add(now, volumes[i]);
+        bank[i].add(now, volumes[i], window);
       }
     });
   }
@@ -102,15 +108,13 @@ void BM_SketchResponseEmit(benchmark::State& state) {
   set_global_threads(threads);
   constexpr std::size_t kRows = 50;
   const ProjectionSource source(ProjectionKind::kTugOfWar, 1);
-  std::vector<FlowSketch> bank;
-  bank.reserve(flows);
+  ProjectionWindow window(source, kRows, 4032, 0.05);
+  std::vector<FlowSketch> bank(flows, FlowSketch(window));
   Xoshiro256 gen(6);
-  for (std::size_t i = 0; i < flows; ++i) {
-    bank.emplace_back(4032, 0.05, kRows, source);
-  }
   for (std::int64_t t = 0; t < 1024; ++t) {
+    window.advance(t);
     for (std::size_t i = 0; i < flows; ++i) {
-      bank[i].add(t, 1e8 + 1e7 * standard_normal(gen));
+      bank[i].add(t, 1e8 + 1e7 * standard_normal(gen), window);
     }
   }
   const std::size_t block = kRows + 2;
@@ -120,7 +124,7 @@ void BM_SketchResponseEmit(benchmark::State& state) {
       Vector z;
       for (std::size_t i = lo; i < hi; ++i) {
         double* out = payload.data() + i * block;
-        const FlowSketch::Report report = bank[i].report_into(z);
+        const FlowSketch::Report report = bank[i].report_into(z, window);
         out[0] = report.mean;
         out[1] = static_cast<double>(report.count);
         for (std::size_t k = 0; k < kRows; ++k) out[2 + k] = z[k];

@@ -141,13 +141,16 @@ void BM_SpscRing(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRing)->Arg(64)->Arg(1024);
 
-/// Per-call cost of add_batch at a given batch size: the SIMD-batched hot
-/// path the ingest consumer drives once per interval row.
+/// Per-call cost of add_batch at a given batch size, plus the block's
+/// window rows (SIMD-filled; an owner computes them once for all its
+/// flows): the hot path the ingest consumer drives.
 void BM_SketchAddBatch(benchmark::State& state) {
   const auto batch_size = static_cast<std::size_t>(state.range(0));
   const ProjectionSource projection(ProjectionKind::kTugOfWar, 7);
-  FlowSketch sketch(/*window=*/4032, /*epsilon=*/0.1, /*sketch_rows=*/16,
-                    projection);
+  ProjectionWindow window(projection, /*sketch_rows=*/16, /*window=*/4032,
+                          /*epsilon=*/0.1);
+  window.reserve_block(batch_size);
+  FlowSketch sketch(window);
   Xoshiro256 gen(3);
   std::vector<SketchUpdate> updates(batch_size);
   std::int64_t t = 0;
@@ -158,7 +161,9 @@ void BM_SketchAddBatch(benchmark::State& state) {
       u.volume = 1e8 + 1e7 * standard_normal(gen);
     }
     state.ResumeTiming();
-    sketch.add_batch(updates);
+    // The block's rows enter the window first, as in absorb_block.
+    for (const SketchUpdate& u : updates) window.advance(u.t);
+    sketch.add_batch(updates, window);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *

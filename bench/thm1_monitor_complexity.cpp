@@ -1,7 +1,9 @@
 // Theorem 1 / Lemma 1 accounting: local-monitor costs as the window n and
 // the VH epsilon vary — bucket counts (O((1/eps) log n) once n is past the
-// ~20/eps compaction threshold), summary bytes, per-update latency, and the
-// variance approximation ratio V-hat / V (Lemma 1: within [1 - eps, 1]).
+// ~20/eps compaction threshold), summary bytes (the sketch's own buckets,
+// with the projection window it shares with its owner's other flows in a
+// column of its own), per-update latency, and the variance approximation
+// ratio V-hat / V. Exits 1 if any row breaks Lemma 1 (V-hat >= (1-eps) V).
 #include <iostream>
 
 #include "bench/support/scenario.hpp"
@@ -48,12 +50,14 @@ int main(int argc, char** argv) {
     std::cout << "# Theorem 1 — local monitor complexity accounting (l = "
               << l << ")\n";
     TablePrinter table({"eps", "n", "buckets", "buckets/log2(n)",
-                        "summary_KiB", "exact_KiB", "update_us",
-                        "vhat/v_min"});
+                        "summary_KiB", "window_KiB", "exact_KiB",
+                        "update_us", "vhat/v_min"});
+    bool lemma1_holds = true;
     for (const double eps : eps_values) {
       for (const std::size_t n : n_values) {
         const ProjectionSource source(ProjectionKind::kTugOfWar, 7);
-        FlowSketch sketch(n, eps, l, source);
+        ProjectionWindow window(source, l, n, eps);
+        FlowSketch sketch(window);
         SlidingWindowStats exact(n);
         Xoshiro256 gen(n ^ 55);
         double worst_ratio = 1.0;
@@ -61,7 +65,8 @@ int main(int argc, char** argv) {
         const std::size_t steps = 2 * n;
         for (std::size_t t = 0; t < steps; ++t) {
           const double x = 1e8 + 1e7 * standard_normal(gen);
-          sketch.add(static_cast<std::int64_t>(t), x);
+          window.advance(static_cast<std::int64_t>(t));
+          sketch.add(static_cast<std::int64_t>(t), x, window);
           exact.add(x);
           if (t >= n && t % 97 == 0) {
             const double v = exact.sum_squared_deviations();
@@ -72,19 +77,22 @@ int main(int argc, char** argv) {
           }
         }
         const double update_us = watch.microseconds() / steps;
+        if (worst_ratio < 1.0 - eps) lemma1_holds = false;
         table.row(
             {std::to_string(eps), std::to_string(n),
              std::to_string(sketch.bucket_count()),
              std::to_string(static_cast<double>(sketch.bucket_count()) /
                             std::log2(static_cast<double>(n))),
              std::to_string(sketch.memory_bytes() / 1024.0),
+             std::to_string(window.memory_bytes() / 1024.0),
              std::to_string(n * sizeof(double) / 1024.0),
              std::to_string(update_us), std::to_string(worst_ratio)});
       }
     }
     table.print(std::cout);
     std::cout << "\n# Lemma 1 requires vhat/v_min >= 1 - eps for every row "
-                 "above.\n";
+                 "above: "
+              << (lemma1_holds ? "holds" : "VIOLATED") << ".\n";
 
     // Monitor-scale interval close: w per-flow updates fanned out across
     // the pool, as LocalMonitor::end_interval does. The speedup column is
@@ -101,11 +109,8 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : thread_values) {
       set_global_threads(threads);
       const ProjectionSource source(ProjectionKind::kTugOfWar, 7);
-      std::vector<FlowSketch> bank;
-      bank.reserve(flows);
-      for (std::size_t i = 0; i < flows; ++i) {
-        bank.emplace_back(4096, 0.1, l, source);
-      }
+      ProjectionWindow window(source, l, 4096, 0.1);
+      std::vector<FlowSketch> bank(flows, FlowSketch(window));
       Xoshiro256 gen(91);
       Vector volumes(flows);
       for (std::size_t i = 0; i < flows; ++i) {
@@ -114,10 +119,12 @@ int main(int argc, char** argv) {
       constexpr std::size_t kIntervals = 512;
       Stopwatch watch;
       for (std::size_t t = 0; t < kIntervals; ++t) {
+        window.advance(static_cast<std::int64_t>(t));
         global_pool().parallel_for(
             0, flows, [&](std::size_t lo, std::size_t hi) {
               for (std::size_t i = lo; i < hi; ++i) {
-                bank[i].add(static_cast<std::int64_t>(t), volumes[i]);
+                bank[i].add(static_cast<std::int64_t>(t), volumes[i],
+                            window);
               }
             });
       }
@@ -130,6 +137,10 @@ int main(int argc, char** argv) {
     }
     set_global_threads(saved_threads);
     par_table.print(std::cout);
+    if (!lemma1_holds) {
+      std::cerr << "error: Lemma 1 violated: vhat/v_min < 1 - eps\n";
+      return 1;
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -11,27 +11,33 @@
 
 namespace spca {
 
+namespace {
+
+ProjectionWindow window_for(const SketchDetectorConfig& config) {
+  SPCA_EXPECTS(config.window >= 2);
+  SPCA_EXPECTS(config.sketch_rows >= 1);
+  const ProjectionSource source =
+      config.projection == ProjectionKind::kVerySparse
+          ? ProjectionSource::very_sparse(config.seed, config.window)
+          : ProjectionSource(config.projection, config.seed, config.sparsity);
+  return ProjectionWindow(source, config.sketch_rows, config.window,
+                          config.epsilon);
+}
+
+}  // namespace
+
 SketchDetector::SketchDetector(std::size_t dimensions,
                                const SketchDetectorConfig& config)
     : m_(dimensions),
       config_(config),
       backend_(make_model_backend(config.backend, dimensions)),
+      window_(window_for(config)),
       last_centered_(dimensions) {
   SPCA_EXPECTS(dimensions >= 2);
-  SPCA_EXPECTS(config.window >= 2);
-  SPCA_EXPECTS(config.sketch_rows >= 1);
   SPCA_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0);
-  const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
-  flows_.reserve(dimensions);
-  for (std::size_t j = 0; j < dimensions; ++j) {
-    // All flows share one coefficient source (same seed => same r_tk),
-    // exactly as the distributed monitors do.
-    flows_.emplace_back(config.window, config.epsilon, config.sketch_rows,
-                        source);
-  }
+  // All flows read one window (same seed => same r_tk), exactly as the
+  // distributed monitors do.
+  flows_.assign(dimensions, FlowSketch(window_));
 }
 
 Detection SketchDetector::observe(std::int64_t t, const Vector& x) {
@@ -48,8 +54,9 @@ Detection SketchDetector::observe(std::int64_t t, const Vector& x) {
 
   SPCA_EXPECTS(x.size() == m_);
   const ScopedTimer timer(observe_seconds);
+  window_.advance(t);
   for (std::size_t j = 0; j < m_; ++j) {
-    flows_[j].add(t, x[j]);
+    flows_[j].add(t, x[j], window_);
   }
   ++observed_;
 
@@ -94,7 +101,7 @@ Detection SketchDetector::observe(std::int64_t t, const Vector& x) {
 Matrix SketchDetector::sketch_matrix() const {
   Matrix z(config_.sketch_rows, m_);
   for (std::size_t j = 0; j < m_; ++j) {
-    z.set_col(j, flows_[j].sketch());
+    z.set_col(j, flows_[j].sketch(window_));
   }
   return z;
 }
@@ -160,7 +167,7 @@ std::size_t SketchDetector::memory_bytes() const noexcept {
   // of the window length n, so Theorem 1's O(w log n) summary-state bound
   // is unaffected — but the absolute number now matches what a deployment
   // actually holds in memory.
-  std::size_t bytes = sizeof(*this);
+  std::size_t bytes = sizeof(*this) + window_.memory_bytes();
   bytes += last_centered_.size() * sizeof(double);
   if (model_.fitted()) {
     bytes += model_.singular_values().size() * sizeof(double);

@@ -21,6 +21,7 @@
 #include "pca/backend/model_backend.hpp"
 #include "rand/projection_source.hpp"
 #include "sketch/flow_sketch.hpp"
+#include "sketch/projection_window.hpp"
 
 namespace spca {
 
@@ -85,9 +86,10 @@ class SketchDetector final : public Detector {
   }
 
   /// Total bytes of detector state: every flow sketch's summary (the
-  /// Theorem 1 O(w log n) part) plus the detector's fixed-size members —
-  /// the fitted model and the retained last-centered vector. Mirrored into
-  /// the `spca.sketch.memory_bytes` gauge on every model refresh.
+  /// Theorem 1 O(w log n) part), their shared projection window, and the
+  /// detector's fixed-size members — the fitted model and the retained
+  /// last-centered vector. Mirrored into the `spca.sketch.memory_bytes`
+  /// gauge on every model refresh.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Serializes the complete detector state — configuration, every flow's
@@ -116,6 +118,7 @@ class SketchDetector final : public Detector {
   std::size_t m_;
   SketchDetectorConfig config_;
   std::unique_ptr<ModelBackend> backend_;
+  ProjectionWindow window_;  // advanced once per observed interval
   std::vector<FlowSketch> flows_;
   std::uint64_t observed_ = 0;
   PcaModel model_;

@@ -14,7 +14,8 @@
 //   per flow (dimensions times, see FlowSketch::save_state):
 //     i64 now | u64 bucket_count
 //     per bucket: i64 timestamp | u64 count | f64 mean | f64 variance
-//                 | f64[] payload
+//                 | f64[] payload (a window singleton's as rebuilt from the
+//                   projection window, which restore refills and checks)
 //
 // Restore range-checks every field the detector would otherwise trip over
 // later (as a ContractViolation, an allocation failure, or a silently dead
@@ -67,7 +68,7 @@ std::vector<std::byte> SketchDetector::save_state() const {
   }
   backend_->save_state(out);
 
-  for (const FlowSketch& flow : flows_) flow.save_state(out);
+  for (const FlowSketch& flow : flows_) flow.save_state(out, window_);
   return std::move(out).take();
 }
 
@@ -130,14 +131,7 @@ SketchDetector SketchDetector::restore_state(
   }
   detector.backend_->restore_state(in);
 
-  const ProjectionSource source =
-      config.projection == ProjectionKind::kVerySparse
-          ? ProjectionSource::very_sparse(config.seed, config.window)
-          : ProjectionSource(config.projection, config.seed, config.sparsity);
-  for (FlowSketch& flow : detector.flows_) {
-    flow = FlowSketch::restore_state(in, config.window, config.epsilon,
-                                     config.sketch_rows, source);
-  }
+  detector.flows_ = FlowSketch::restore_states(in, m, detector.window_);
   if (!in.exhausted()) {
     throw ProtocolError("SketchDetector::restore_state: trailing bytes");
   }

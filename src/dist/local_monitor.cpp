@@ -20,20 +20,12 @@ LocalMonitor::LocalMonitor(NodeId id, std::vector<FlowId> flows,
                            bool counter_only)
     : id_(id),
       flows_(std::move(flows)),
-      window_(window),
-      epsilon_(epsilon),
-      sketch_rows_(sketch_rows),
-      projection_(projection),
       counter_only_(counter_only),
-      counter_(static_cast<std::uint32_t>(flows_.size())) {
+      counter_(static_cast<std::uint32_t>(flows_.size())),
+      window_(projection, sketch_rows, window, epsilon) {
   SPCA_EXPECTS(id != kNocId);
   SPCA_EXPECTS(!flows_.empty());
-  if (!counter_only_) {
-    sketches_.reserve(flows_.size());
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      sketches_.emplace_back(window, epsilon, sketch_rows, projection);
-    }
-  }
+  if (!counter_only_) sketches_.assign(flows_.size(), FlowSketch(window_));
 }
 
 void LocalMonitor::record(FlowId flow, std::uint32_t size_bytes) {
@@ -51,13 +43,15 @@ void LocalMonitor::ingest_volume(FlowId flow, double bytes) {
 Vector LocalMonitor::flush_interval(std::int64_t t) {
   const Vector volumes = counter_.end_interval();
   // The per-flow O(l) updates and VH bucket merges are independent across
-  // flows (each FlowSketch owns its histogram; the shared ProjectionSource
-  // is stateless), so the Fig. 4 interval close fans out across the pool.
-  // Static chunking keeps the result bit-identical to the serial loop.
+  // flows (each FlowSketch owns its histogram and only reads the window,
+  // whose row for t is computed once here), so the Fig. 4 interval close
+  // fans out across the pool. Static chunking keeps the result
+  // bit-identical to the serial loop.
+  if (!counter_only_) window_.advance(t);
   global_pool().parallel_for(0, sketches_.size(),
                              [&](std::size_t lo, std::size_t hi) {
                                for (std::size_t i = lo; i < hi; ++i) {
-                                 sketches_[i].add(t, volumes[i]);
+                                 sketches_[i].add(t, volumes[i], window_);
                                }
                              });
   // First-line scoring rides the same flush so end_interval, absorb_interval,
@@ -84,6 +78,13 @@ void LocalMonitor::absorb_block(std::int64_t first, std::size_t count,
   // path so checkpoints remain interchangeable.
   counter_.advance_intervals(count);
   if (!counter_only_) {
+    // Every row of the block enters the window before the fan-out, which
+    // only reads it: capacity R + count keeps the rows the first updates
+    // still need.
+    window_.reserve_block(count);
+    for (std::size_t r = 0; r < count; ++r) {
+      window_.advance(first + static_cast<std::int64_t>(r));
+    }
     // Per-flow streams are independent; each lane walks its flow's column
     // through the whole block with one batched sketch update. Static
     // chunking keeps the result bit-identical to the serial loop at any
@@ -95,7 +96,7 @@ void LocalMonitor::absorb_block(std::int64_t first, std::size_t count,
           batch[r].t = first + static_cast<std::int64_t>(r);
           batch[r].volume = volumes[r * w + i];
         }
-        sketches_[i].add_batch(batch);
+        sketches_[i].add_batch(batch, window_);
       }
     });
   }
@@ -183,24 +184,26 @@ Message LocalMonitor::make_sketch_response(std::int64_t interval) const {
   response.ids = flows_;
   // Every flow owns a fixed-size block [mean, count, z_1..z_l] of the
   // payload, so emission parallelizes over flows with disjoint writes.
-  const std::size_t block = sketch_rows_ + 2;
+  const std::size_t rows = window_.sketch_rows();
+  const std::size_t block = rows + 2;
   response.values.resize(flows_.size() * block);
   global_pool().parallel_for(
       0, sketches_.size(), [&](std::size_t lo, std::size_t hi) {
         Vector z;
         for (std::size_t i = lo; i < hi; ++i) {
           double* out = response.values.data() + i * block;
-          const FlowSketch::Report report = sketches_[i].report_into(z);
+          const FlowSketch::Report report =
+              sketches_[i].report_into(z, window_);
           out[0] = report.mean;
           out[1] = static_cast<double>(report.count);
-          for (std::size_t k = 0; k < sketch_rows_; ++k) out[2 + k] = z[k];
+          for (std::size_t k = 0; k < rows; ++k) out[2 + k] = z[k];
         }
       });
   return response;
 }
 
 std::size_t LocalMonitor::memory_bytes() const noexcept {
-  std::size_t bytes = 0;
+  std::size_t bytes = window_.memory_bytes();
   for (const auto& s : sketches_) bytes += s.memory_bytes();
   return bytes;
 }

@@ -15,6 +15,7 @@
 #include "net/transport.hpp"
 #include "rand/projection_source.hpp"
 #include "sketch/flow_sketch.hpp"
+#include "sketch/projection_window.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/volume_counter.hpp"
 
@@ -105,7 +106,8 @@ class LocalMonitor final {
   void set_upstream(NodeId upstream) noexcept { upstream_ = upstream; }
   [[nodiscard]] NodeId upstream() const noexcept { return upstream_; }
 
-  /// Summary-state bytes across the monitor's sketches (Theorem 1).
+  /// Summary-state bytes across the monitor's sketches plus their shared
+  /// projection window, counted once (Theorem 1).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Serializes the full monitor state — configuration, unflushed volume
@@ -127,12 +129,12 @@ class LocalMonitor final {
   NodeId id_;
   NodeId upstream_ = kNocId;
   std::vector<FlowId> flows_;
-  std::uint64_t window_;
-  double epsilon_;
-  std::size_t sketch_rows_;
-  ProjectionSource projection_;
   bool counter_only_;
   VolumeCounter counter_;
+  // The sketch configuration (n, epsilon, l, projection) and the
+  // coefficient rows every owned sketch reads; advanced once per interval,
+  // outside the per-flow fan-outs. Holds no rows when counter_only_.
+  ProjectionWindow window_;
   std::vector<FlowSketch> sketches_;  // aligned with flows_; empty when
                                       // counter_only_
   std::optional<FirstLineScorer> scorer_;  // engaged by enable_first_line;

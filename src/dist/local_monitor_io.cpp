@@ -8,7 +8,8 @@
 //   per sketch (omitted when counter_only; see FlowSketch::save_state):
 //     i64 now | u64 bucket_count
 //     per bucket: i64 timestamp | u64 count | f64 mean | f64 variance
-//                 | f64[] payload
+//                 | f64[] payload (a window singleton's as rebuilt from the
+//                   projection window, which restore refills and checks)
 //   u8 has_scorer | FirstLineScorer state when 1 (version 2; see
 //                   detect/first_line.cpp for the scalar run)
 //
@@ -38,18 +39,19 @@ std::vector<std::byte> LocalMonitor::save_state() const {
   out.put(kVersion);
 
   out.put(id_);
-  out.put(window_);
-  out.put(epsilon_);
-  out.put(static_cast<std::uint64_t>(sketch_rows_));
+  out.put(window_.window());
+  out.put(window_.epsilon());
+  out.put(static_cast<std::uint64_t>(window_.sketch_rows()));
   out.put(static_cast<std::uint8_t>(counter_only_ ? 1 : 0));
-  out.put(static_cast<std::uint8_t>(projection_.kind()));
-  out.put(projection_.seed());
-  out.put(projection_.sparsity());
+  const ProjectionSource& projection = window_.source();
+  out.put(static_cast<std::uint8_t>(projection.kind()));
+  out.put(projection.seed());
+  out.put(projection.sparsity());
   out.put_all(flows_);
   out.put_all(counter_.buckets());
   out.put(counter_.intervals_completed());
 
-  for (const FlowSketch& sketch : sketches_) sketch.save_state(out);
+  for (const FlowSketch& sketch : sketches_) sketch.save_state(out, window_);
   out.put(static_cast<std::uint8_t>(scorer_ ? 1 : 0));
   if (scorer_) scorer_->save(out);
   return std::move(out).take();
@@ -98,10 +100,8 @@ LocalMonitor LocalMonitor::restore_state(const std::vector<std::byte>& blob) {
   const auto intervals = in.get<std::uint64_t>();
   monitor.counter_ = VolumeCounter::from_state(std::move(buckets), intervals);
 
-  for (FlowSketch& sketch : monitor.sketches_) {
-    sketch = FlowSketch::restore_state(in, window, epsilon, sketch_rows,
-                                       projection);
-  }
+  monitor.sketches_ = FlowSketch::restore_states(
+      in, monitor.sketches_.size(), monitor.window_);
   if (in.get<std::uint8_t>() != 0) {
     monitor.scorer_ = FirstLineScorer::restore(in);
   }

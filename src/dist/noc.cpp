@@ -32,25 +32,30 @@ NocConfig noc_config_from(const SketchDetectorConfig& config,
   return noc;
 }
 
+namespace {
+
+ProjectionWindow hosted_window_for(const NocConfig& config) {
+  SPCA_EXPECTS(config.sketch_rows >= 1);
+  const ProjectionSource source =
+      config.projection == ProjectionKind::kVerySparse
+          ? ProjectionSource::very_sparse(config.seed, config.window)
+          : ProjectionSource(config.projection, config.seed, config.sparsity);
+  return ProjectionWindow(source, config.sketch_rows, config.window,
+                          config.epsilon);
+}
+
+}  // namespace
+
 Noc::Noc(std::size_t num_flows, const NocConfig& config)
     : m_(num_flows),
       config_(config),
       backend_(make_model_backend(config.backend, num_flows)),
-      flow_state_(num_flows) {
+      flow_state_(num_flows),
+      hosted_window_(hosted_window_for(config)) {
   SPCA_EXPECTS(num_flows >= 2);
-  SPCA_EXPECTS(config.sketch_rows >= 1);
   SPCA_EXPECTS(config.alpha > 0.0 && config.alpha < 1.0);
   if (config.host_sketches) {
-    const ProjectionSource source =
-        config.projection == ProjectionKind::kVerySparse
-            ? ProjectionSource::very_sparse(config.seed, config.window)
-            : ProjectionSource(config.projection, config.seed,
-                               config.sparsity);
-    hosted_sketches_.reserve(num_flows);
-    for (std::size_t j = 0; j < num_flows; ++j) {
-      hosted_sketches_.emplace_back(config.window, config.epsilon,
-                                    config.sketch_rows, source);
-    }
+    hosted_sketches_.assign(num_flows, FlowSketch(hosted_window_));
   }
 }
 
@@ -72,6 +77,11 @@ Vector Noc::assemble_volumes(std::int64_t t,
       if (flow >= m_ || seen[flow]) {
         throw ProtocolError("Noc: duplicate or out-of-range flow report");
       }
+      // A NaN distance never exceeds the threshold, so one bad volume would
+      // silence the NOC: only finite, non-negative volumes get in.
+      if (!std::isfinite(msg.values[i]) || msg.values[i] < 0.0) {
+        throw ProtocolError("Noc: volume report is not a finite volume");
+      }
       seen[flow] = true;
       x[flow] = msg.values[i];
     }
@@ -83,9 +93,10 @@ Vector Noc::assemble_volumes(std::int64_t t,
     // Theorem 1 alternative mode: the NOC maintains the histograms itself,
     // fed straight from the volume reports. This is the NOC's O(m log n)
     // update; the per-flow histograms are independent, so it fans out.
+    hosted_window_.advance(t);
     global_pool().parallel_for(0, m_, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t j = lo; j < hi; ++j) {
-        hosted_sketches_[j].add(t, x[j]);
+        hosted_sketches_[j].add(t, x[j], hosted_window_);
       }
     });
   }
@@ -118,10 +129,23 @@ void Noc::ingest_sketch_response(const Message& msg) {
   if (msg.values.size() != msg.ids.size() * block) {
     throw ProtocolError("Noc: malformed sketch response");
   }
+  // Check the whole response before storing any of it: the count must be
+  // an integer a window can hold, and the mean and every z finite.
+  const auto window = static_cast<double>(config_.window);
   for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-    const std::uint32_t flow = msg.ids[i];
-    if (flow >= m_) throw ProtocolError("Noc: sketch for unknown flow");
-    FlowState& state = flow_state_[flow];
+    if (msg.ids[i] >= m_) throw ProtocolError("Noc: sketch for unknown flow");
+    const double* base = msg.values.data() + i * block;
+    const double count = base[1];
+    if (!(count >= 0.0 && count <= window && std::floor(count) == count)) {
+      throw ProtocolError("Noc: sketch count out of range");
+    }
+    if (!std::all_of(base, base + block,
+                     [](double v) { return std::isfinite(v); })) {
+      throw ProtocolError("Noc: non-finite sketch value");
+    }
+  }
+  for (std::size_t i = 0; i < msg.ids.size(); ++i) {
+    FlowState& state = flow_state_[msg.ids[i]];
     const double* base = msg.values.data() + i * block;
     state.mean = base[0];
     state.count = static_cast<std::uint64_t>(base[1]);
@@ -186,7 +210,8 @@ void Noc::pull_hosted() {
     Vector z;
     for (std::size_t j = lo; j < hi; ++j) {
       FlowState& state = flow_state_[j];
-      const FlowSketch::Report report = hosted_sketches_[j].report_into(z);
+      const FlowSketch::Report report =
+          hosted_sketches_[j].report_into(z, hosted_window_);
       state.mean = report.mean;
       state.count = report.count;
       state.sketch.assign(z.begin(), z.end());

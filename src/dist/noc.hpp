@@ -26,6 +26,7 @@
 #include "pca/backend/model_backend.hpp"
 #include "pca/pca_model.hpp"
 #include "sketch/flow_sketch.hpp"
+#include "sketch/projection_window.hpp"
 
 namespace spca {
 
@@ -71,7 +72,9 @@ class Noc final {
 
   /// Validates and assembles the volume reports of interval `t` into the
   /// network-wide measurement vector (feeding the NOC-hosted sketches in
-  /// host_sketches mode). Every flow must be covered exactly once.
+  /// host_sketches mode). Every flow must be covered exactly once, by a
+  /// finite, non-negative volume; otherwise throws ProtocolError before
+  /// any hosted sketch is fed.
   [[nodiscard]] Vector assemble_volumes(std::int64_t t,
                                         const std::vector<Message>& reports);
 
@@ -83,7 +86,10 @@ class Noc final {
   void request_sketches(std::int64_t t, const std::vector<NodeId>& monitors,
                         Transport& network);
 
-  /// Stores one sketch response into the per-flow state (no refit).
+  /// Stores one sketch response into the per-flow state (no refit). Throws
+  /// ProtocolError, storing nothing, unless every block names a known flow
+  /// and carries a finite mean and z-vector and an integer count in
+  /// [0, window].
   void ingest_sketch_response(const Message& msg);
 
   /// Ingests queued sketch responses and refits the PCA model.
@@ -158,6 +164,9 @@ class Noc final {
     bool seen = false;
   };
   std::vector<FlowState> flow_state_;
+  /// The hosted sketches' shared projection window, advanced once per
+  /// interval (holds no rows unless host_sketches).
+  ProjectionWindow hosted_window_;
   /// NOC-hosted sketches (Theorem 1 alternative mode), empty otherwise.
   std::vector<FlowSketch> hosted_sketches_;
   std::optional<PcaModel> model_;

@@ -12,7 +12,8 @@
 //   u64 hosted_count (0 or m); per hosted sketch (see
 //     FlowSketch::save_state): i64 now | u64 bucket_count
 //     per bucket: i64 timestamp | u64 count | f64 mean | f64 variance
-//                 | f64[] payload
+//                 | f64[] payload (a window singleton's as rebuilt from the
+//                   projection window, which restore refills and checks)
 //   model: u8 fitted; if fitted: PcaModel::save_state (u64 sample_count
 //          | f64[] singular_values | f64[] components (row-major m*m)
 //          | f64[] means) | u64 rank | f64 threshold_squared
@@ -71,7 +72,9 @@ std::vector<std::byte> Noc::save_state() const {
   }
 
   out.put(static_cast<std::uint64_t>(hosted_sketches_.size()));
-  for (const FlowSketch& sketch : hosted_sketches_) sketch.save_state(out);
+  for (const FlowSketch& sketch : hosted_sketches_) {
+    sketch.save_state(out, hosted_window_);
+  }
 
   out.put(static_cast<std::uint8_t>(model_.has_value() ? 1 : 0));
   if (model_.has_value()) {
@@ -141,17 +144,8 @@ Noc Noc::restore_state(const std::vector<std::byte>& blob,
   if (hosted_count != noc.hosted_sketches_.size()) {
     throw ProtocolError("Noc::restore_state: hosted sketch count mismatch");
   }
-  if (hosted_count > 0) {
-    const ProjectionSource source =
-        config.projection == ProjectionKind::kVerySparse
-            ? ProjectionSource::very_sparse(config.seed, config.window)
-            : ProjectionSource(config.projection, config.seed,
-                               config.sparsity);
-    for (FlowSketch& sketch : noc.hosted_sketches_) {
-      sketch = FlowSketch::restore_state(in, config.window, config.epsilon,
-                                         config.sketch_rows, source);
-    }
-  }
+  noc.hosted_sketches_ =
+      FlowSketch::restore_states(in, hosted_count, noc.hosted_window_);
 
   if (in.get<std::uint8_t>() != 0) {
     noc.model_ = PcaModel::restore_state(in, m);

@@ -35,14 +35,12 @@ bool projection_kernel_uses_avx2() noexcept {
 
 namespace detail {
 
-void fill_tow_payload_scalar(std::uint64_t seed, std::int64_t t, double volume,
-                             std::size_t l, double* payload) noexcept {
+void fill_tow_row_scalar(std::uint64_t seed, std::int64_t t, std::size_t l,
+                         double* row) noexcept {
   const std::uint64_t base = projection_prf_base(seed, t);
   for (std::size_t k = 0; k < l; ++k) {
     const std::uint64_t h = projection_prf_finish(base, k, 0);
-    const double r = (h & 1ULL) ? 1.0 : -1.0;
-    payload[k] = volume * r;
-    payload[l + k] = r;
+    row[k] = (h & 1ULL) ? 1.0 : -1.0;
   }
 }
 
@@ -72,15 +70,13 @@ __attribute__((target("avx2"))) static inline __m256i splitmix_mix_epi64(
   return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
 }
 
-__attribute__((target("avx2"))) void fill_tow_payload_avx2(
-    std::uint64_t seed, std::int64_t t, double volume, std::size_t l,
-    double* payload) noexcept {
+__attribute__((target("avx2"))) void fill_tow_row_avx2(
+    std::uint64_t seed, std::int64_t t, std::size_t l, double* row) noexcept {
   const std::uint64_t base = projection_prf_base(seed, t);
   const __m256i base_v = _mm256_set1_epi64x(static_cast<long long>(base));
   const __m256i one_bit = _mm256_set1_epi64x(1);
   const __m256d plus_one = _mm256_set1_pd(1.0);
   const __m256d minus_one = _mm256_set1_pd(-1.0);
-  const __m256d vol = _mm256_set1_pd(volume);
 
   std::size_t k = 0;
   for (; k + 4 <= l; k += 4) {
@@ -93,15 +89,11 @@ __attribute__((target("avx2"))) void fill_tow_payload_avx2(
     const __m256i bit = _mm256_and_si256(h, one_bit);
     const __m256d is_one =
         _mm256_castsi256_pd(_mm256_cmpeq_epi64(bit, one_bit));
-    const __m256d sign = _mm256_blendv_pd(minus_one, plus_one, is_one);
-    _mm256_storeu_pd(payload + k, _mm256_mul_pd(vol, sign));
-    _mm256_storeu_pd(payload + l + k, sign);
+    _mm256_storeu_pd(row + k, _mm256_blendv_pd(minus_one, plus_one, is_one));
   }
   for (; k < l; ++k) {
     const std::uint64_t h = projection_prf_finish(base, k, 0);
-    const double r = (h & 1ULL) ? 1.0 : -1.0;
-    payload[k] = volume * r;
-    payload[l + k] = r;
+    row[k] = (h & 1ULL) ? 1.0 : -1.0;
   }
 }
 
@@ -109,15 +101,15 @@ __attribute__((target("avx2"))) void fill_tow_payload_avx2(
 
 }  // namespace detail
 
-void fill_tow_payload(std::uint64_t seed, std::int64_t t, double volume,
-                      std::size_t l, double* payload) noexcept {
+void fill_tow_row(std::uint64_t seed, std::int64_t t, std::size_t l,
+                  double* row) noexcept {
 #if defined(__x86_64__)
   if (projection_kernel_uses_avx2()) {
-    detail::fill_tow_payload_avx2(seed, t, volume, l, payload);
+    detail::fill_tow_row_avx2(seed, t, l, row);
     return;
   }
 #endif
-  detail::fill_tow_payload_scalar(seed, t, volume, l, payload);
+  detail::fill_tow_row_scalar(seed, t, l, row);
 }
 
 }  // namespace spca

@@ -1,14 +1,12 @@
-// Batched projection-payload kernels for the FlowSketch hot path.
+// Batched coefficient-row kernels for the projection window.
 //
-// One sketch update contributes the payload block
-//   payload[k]     = volume * r_{t,k}      (Z contribution, Fig. 3 Step 2)
-//   payload[l + k] = r_{t,k}               (R contribution)
-// for k = 0..l-1. For the tug-of-war scheme every r_{t,k} is ±1 derived
-// from the keyed PRF, so the whole block is integer work plus a sign flip —
-// ideal SIMD shape. This module provides a scalar kernel and an AVX2 kernel
-// behind runtime CPU-feature dispatch; both produce bit-identical doubles
-// (the PRF is exact integer arithmetic and ±1.0 * volume is an exact IEEE
-// operation), so enabling SIMD can never change a trajectory.
+// Each interval the sketch owner's ProjectionWindow computes the row
+// r_{t,k} for k = 0..l-1 once for all its flows. For the tug-of-war scheme
+// every r_{t,k} is ±1 derived from the keyed PRF, so the whole row is
+// integer work plus a sign select — ideal SIMD shape. This module provides
+// a scalar kernel and an AVX2 kernel behind runtime CPU-feature dispatch;
+// both produce bit-identical doubles (the PRF is exact integer arithmetic),
+// so enabling SIMD can never change a trajectory.
 //
 // The non-tug-of-war schemes (Gaussian, sparse) involve transcendental
 // transforms whose vectorization would not be bit-stable; they always take
@@ -32,19 +30,19 @@ void force_scalar_projection_kernel(bool force) noexcept;
 /// True iff the next kernel invocation will use AVX2.
 [[nodiscard]] bool projection_kernel_uses_avx2() noexcept;
 
-/// Fills the 2l-element payload block for one tug-of-war update: sign bits
-/// come from projection_prf(seed, t, k, 0), exactly like
-/// ProjectionSource::value on the kTugOfWar path.
-void fill_tow_payload(std::uint64_t seed, std::int64_t t, double volume,
-                      std::size_t l, double* payload) noexcept;
+/// Fills the l tug-of-war coefficients of interval `t`: sign bits come from
+/// projection_prf(seed, t, k, 0), exactly like ProjectionSource::value on
+/// the kTugOfWar path.
+void fill_tow_row(std::uint64_t seed, std::int64_t t, std::size_t l,
+                  double* row) noexcept;
 
 namespace detail {
 /// The two kernels, exposed for the bit-equality tests.
-void fill_tow_payload_scalar(std::uint64_t seed, std::int64_t t, double volume,
-                             std::size_t l, double* payload) noexcept;
+void fill_tow_row_scalar(std::uint64_t seed, std::int64_t t, std::size_t l,
+                         double* row) noexcept;
 #if defined(__x86_64__)
-void fill_tow_payload_avx2(std::uint64_t seed, std::int64_t t, double volume,
-                           std::size_t l, double* payload) noexcept;
+void fill_tow_row_avx2(std::uint64_t seed, std::int64_t t, std::size_t l,
+                       double* row) noexcept;
 #endif
 }  // namespace detail
 

@@ -36,7 +36,16 @@ void merge_into(VhBucket& a, const VhBucket& b) {
 
 VarianceHistogram::VarianceHistogram(std::uint64_t window, double epsilon,
                                      std::size_t payload_size)
-    : window_(window), epsilon_(epsilon), payload_size_(payload_size) {
+    : window_(window),
+      epsilon_(epsilon),
+      payload_size_(payload_size),
+      // A merge needs a candidate of >= 2 elements and a suffix B with
+      // (eps/10)·n_B >= the candidate's count (Rule 2), while candidate plus
+      // suffix fit in floor(n/2) (Rule 3), so n_B <= floor(n/2) − 2. Both
+      // sides are written as compact() evaluates them.
+      never_merges_((epsilon / 10.0) *
+                        (static_cast<double>(window / 2) - 2.0) <
+                    2.0) {
   SPCA_EXPECTS(window >= 2);
   SPCA_EXPECTS(epsilon > 0.0 && epsilon < 1.0);
 }
@@ -51,7 +60,9 @@ VarianceHistogram VarianceHistogram::from_state(std::uint64_t window,
     const VhBucket& b = buckets[i];
     const bool ordered = i == 0 ? b.timestamp <= now
                                 : b.timestamp < buckets[i - 1].timestamp;
-    if (!ordered || b.count == 0 || b.payload.size() != payload_size) {
+    const bool payload_ok = b.payload.size() == payload_size ||
+                            (b.payload.empty() && b.count == 1);
+    if (!ordered || b.count == 0 || !payload_ok) {
       throw ProtocolError("VarianceHistogram: invalid bucket list in state");
     }
   }
@@ -63,8 +74,21 @@ VarianceHistogram VarianceHistogram::from_state(std::uint64_t window,
 
 void VarianceHistogram::add(std::int64_t t, double x,
                             std::span<const double> payload) {
-  SPCA_EXPECTS(!has_elements_ || t > now_);
   SPCA_EXPECTS(payload.size() == payload_size_);
+  VhBucket& fresh = push(t, x);
+  fresh.payload = take_spare();
+  fresh.payload.assign(payload.begin(), payload.end());
+  // Step 3: traverse the list and merge qualified adjacent pairs.
+  compact();
+}
+
+void VarianceHistogram::add_without_payload(std::int64_t t, double x) {
+  (void)push(t, x);
+  compact();
+}
+
+VhBucket& VarianceHistogram::push(std::int64_t t, double x) {
+  SPCA_EXPECTS(!has_elements_ || t > now_);
   now_ = t;
   has_elements_ = true;
 
@@ -77,15 +101,24 @@ void VarianceHistogram::add(std::int64_t t, double x,
   fresh.count = 1;
   fresh.mean = x;
   fresh.variance = 0.0;
-  if (!spare_payloads_.empty()) {
-    fresh.payload = std::move(spare_payloads_.back());
-    spare_payloads_.pop_back();
-  }
-  fresh.payload.assign(payload.begin(), payload.end());
   buckets_.push_front(std::move(fresh));
+  return buckets_.front();
+}
 
-  // Step 3: traverse the list and merge qualified adjacent pairs.
-  compact();
+std::span<double> VarianceHistogram::attach_payload(std::size_t index) {
+  SPCA_EXPECTS(index < buckets_.size());
+  VhBucket& bucket = buckets_[index];
+  SPCA_EXPECTS(bucket.payload.empty());
+  bucket.payload = take_spare();
+  bucket.payload.resize(payload_size_);
+  return bucket.payload;
+}
+
+std::vector<double> VarianceHistogram::take_spare() {
+  if (spare_payloads_.empty()) return {};
+  std::vector<double> spare = std::move(spare_payloads_.back());
+  spare_payloads_.pop_back();
+  return spare;
 }
 
 void VarianceHistogram::recycle(VhBucket& bucket) {
@@ -135,6 +168,7 @@ ScalarStats scalar_merge(const ScalarStats& a, const ScalarStats& b) noexcept {
 }  // namespace
 
 void VarianceHistogram::compact() {
+  if (never_merges_) return;  // the walk below could not merge anything
   // Fig. 3, Step 3. `suffix` is B_B = union of buckets_[0 .. p-1] (the
   // newest p buckets); candidates for merging are buckets_[p] and
   // buckets_[p+1] (the paper's B_{p+1} and B_{p+2}).
@@ -154,6 +188,8 @@ void VarianceHistogram::compact() {
     const bool rule2 =
         candidate.count <= (epsilon_ / 10.0) * suffix.count;
     if (rule1 && rule2) {
+      SPCA_EXPECTS(buckets_[p].payload.size() == payload_size_ &&
+                   buckets_[p + 1].payload.size() == payload_size_);
       merge_into(buckets_[p], buckets_[p + 1]);  // reuses the payload buffer
       recycle(buckets_[p + 1]);
       buckets_.erase(buckets_.begin() + static_cast<std::ptrdiff_t>(p + 1));
@@ -167,19 +203,6 @@ void VarianceHistogram::compact() {
 
 VhBucket VarianceHistogram::aggregate() const {
   VhBucket all;
-  aggregate_into(all);
-  return all;
-}
-
-void VarianceHistogram::aggregate_into(VhBucket& all) const {
-  // In-place accumulation: one payload buffer for the whole pass instead of
-  // an O(l) allocation per bucket; the buffer itself is the caller's and is
-  // only reallocated if its capacity is short.
-  all.timestamp = 0;
-  all.count = 0;
-  all.mean = 0.0;
-  all.variance = 0.0;
-  all.payload.assign(payload_size_, 0.0);
   for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
     const VhBucket& b = *it;
     if (all.count == 0) {
@@ -196,10 +219,8 @@ void VarianceHistogram::aggregate_into(VhBucket& all) const {
       all.count += b.count;
       all.timestamp = std::min(all.timestamp, b.timestamp);
     }
-    for (std::size_t k = 0; k < payload_size_; ++k) {
-      all.payload[k] += b.payload[k];
-    }
   }
+  return all;
 }
 
 double VarianceHistogram::variance_estimate() const {

@@ -9,6 +9,9 @@
 // arbitrary *additive payload* vector, merged by element-wise addition; the
 // sketch module uses it for the random-projection partial sums Z_pk and R_pk
 // (eq. 14, 15) without this module depending on any random-number machinery.
+// A bucket may also be stored *without* its payload (add_without_payload):
+// its owner rebuilds it on demand and must attach it (attach_payload) before
+// the bucket can merge. Summing payloads across buckets is the owner's fold.
 //
 // Guarantee (Lemma 1): (1 - eps) V <= V-hat <= V using O((1/eps) log n)
 // buckets and O(1) amortized update time.
@@ -34,7 +37,8 @@ struct VhBucket {
   double mean = 0.0;
   /// Sum of squared deviations from the bucket mean (V_pj, eq. 10 form).
   double variance = 0.0;
-  /// Additive side sums (the sketch module stores Z_p1..Z_pl, R_p1..R_pl).
+  /// Additive side sums (the sketch module stores Z_p1..Z_pl, R_p1..R_pl);
+  /// empty for a bucket added without its payload.
   std::vector<double> payload;
 };
 
@@ -58,8 +62,8 @@ class VarianceHistogram final {
   /// Reconstructs a histogram from previously exported state (see
   /// `buckets()` / `now()`): the checkpoint/restore path. `buckets` must be
   /// newest-first with strictly decreasing timestamps no later than `now`,
-  /// counts of at least 1, and all payloads of length `payload_size`;
-  /// throws ProtocolError otherwise.
+  /// counts of at least 1, and payloads of length `payload_size` (or empty
+  /// for a one-element bucket); throws ProtocolError otherwise.
   [[nodiscard]] static VarianceHistogram from_state(
       std::uint64_t window, double epsilon, std::size_t payload_size,
       std::vector<VhBucket> buckets, std::int64_t now);
@@ -68,13 +72,21 @@ class VarianceHistogram final {
   /// calls) with the element's payload contribution (length `payload_size`).
   void add(std::int64_t t, double x, std::span<const double> payload = {});
 
-  /// Merge of all live buckets: the B_all of eq. (17), whose `variance` is
-  /// the V-hat of Lemma 1.
-  [[nodiscard]] VhBucket aggregate() const;
+  /// Inserts element `x` at time `t` as a one-element bucket without its
+  /// payload. The caller must give the bucket its payload (attach_payload)
+  /// before a merge can reach it; compaction checks this.
+  void add_without_payload(std::int64_t t, double x);
 
-  /// Allocation-free variant for per-interval hot paths: writes the merge of
-  /// all live buckets into `out`, reusing `out.payload`'s capacity.
-  void aggregate_into(VhBucket& out) const;
+  /// Gives the payload-less bucket `index` (newest-first) a payload buffer
+  /// of length `payload_size` for the caller to fill, reusing a recycled
+  /// buffer when one is spare. Returns the buffer.
+  std::span<double> attach_payload(std::size_t index);
+
+  /// The (timestamp, count, mean, variance) of the merge of all live
+  /// buckets: the B_all of eq. (17), whose `variance` is the V-hat of
+  /// Lemma 1. The returned payload is empty; summing payloads is the
+  /// owner's fold (FlowSketch::report_into).
+  [[nodiscard]] VhBucket aggregate() const;
 
   /// Estimated variance (sum of squared deviations) over the window.
   [[nodiscard]] double variance_estimate() const;
@@ -103,13 +115,19 @@ class VarianceHistogram final {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  /// Steps 1-2 of Fig. 3: expires old buckets and pushes `x` as B_1.
+  VhBucket& push(std::int64_t t, double x);
   void expire(std::int64_t t);
   void compact();
   void recycle(VhBucket& bucket);
+  [[nodiscard]] std::vector<double> take_spare();
 
   std::uint64_t window_;
   double epsilon_;
   std::size_t payload_size_;
+  // Rules 2 and 3 can never both hold (every n <= 4003 at eps = 0.01), so
+  // compact() has nothing to do; see the constructor.
+  bool never_merges_;
   std::int64_t now_ = 0;
   bool has_elements_ = false;
   std::uint64_t merges_ = 0;

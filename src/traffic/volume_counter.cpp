@@ -1,6 +1,7 @@
 #include "traffic/volume_counter.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/contracts.hpp"
 
@@ -18,7 +19,7 @@ void VolumeCounter::record(FlowId flow, std::uint32_t size_bytes) {
 
 void VolumeCounter::record_bytes(FlowId flow, double bytes) {
   SPCA_EXPECTS(flow < buckets_.size());
-  SPCA_EXPECTS(bytes >= 0.0);
+  SPCA_EXPECTS(std::isfinite(bytes) && bytes >= 0.0);
   buckets_[flow] += bytes;
 }
 

@@ -20,7 +20,8 @@ class VolumeCounter final {
   void record(FlowId flow, std::uint32_t size_bytes);
 
   /// Records a pre-aggregated byte amount (e.g. an upstream NetFlow record
-  /// or an interval-level replay); fractional bytes are preserved.
+  /// or an interval-level replay); fractional bytes are preserved. The
+  /// amount must be finite and non-negative.
   void record_bytes(FlowId flow, double bytes);
   void record(const FlowUpdate& update) {
     record(update.flow, update.size_bytes);

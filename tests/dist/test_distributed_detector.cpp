@@ -4,6 +4,7 @@
 
 #include "../helpers.hpp"
 #include "common/contracts.hpp"
+#include "sketch/projection_window.hpp"
 
 namespace spca {
 namespace {
@@ -154,7 +155,14 @@ TEST(DistributedDetector, MonitorMemoryScalesWithSketchRows) {
     (void)small.observe(static_cast<std::int64_t>(t), trace.row(t));
     (void)large.observe(static_cast<std::int64_t>(t), trace.row(t));
   }
-  EXPECT_GT(large.monitor_memory_bytes(), 4 * small.monitor_memory_bytes());
+  // The sketch-row-dependent state is each monitor's projection window:
+  // R + 1 rows of l coefficients (R = n = 32 here, so every bucket is a
+  // window singleton without a payload). The buckets themselves cost the
+  // same at l = 4 and l = 64, so the two deployments differ by exactly the
+  // four windows' extra 64 - 4 coefficients per row.
+  const std::size_t rows = ProjectionWindow::span_for(32, 0.01) + 1;
+  EXPECT_EQ(large.monitor_memory_bytes() - small.monitor_memory_bytes(),
+            4 * rows * (64 - 4) * sizeof(double));
 }
 
 TEST(DistributedDetector, ValidatesConstruction) {

@@ -47,12 +47,14 @@ TEST(LocalMonitor, SketchResponseMatchesStandaloneFlowSketch) {
   SimNetwork net;
   const std::size_t l = 6;
   LocalMonitor monitor(2, {5}, 64, 0.05, l, source());
-  FlowSketch expected(64, 0.05, l, source());
+  ProjectionWindow window(source(), l, 64, 0.05);
+  FlowSketch expected(window);
   for (std::int64_t t = 0; t < 40; ++t) {
     const double volume = 1000.0 + 13.0 * static_cast<double>(t % 7);
     monitor.ingest_volume(5, volume);
     monitor.end_interval(t, net);
-    expected.add(t, volume);
+    window.advance(t);
+    expected.add(t, volume, window);
   }
   (void)net.drain(kNocId);  // discard volume reports
 
@@ -72,7 +74,7 @@ TEST(LocalMonitor, SketchResponseMatchesStandaloneFlowSketch) {
   EXPECT_DOUBLE_EQ(response.values[0], expected.mean());
   EXPECT_DOUBLE_EQ(response.values[1],
                    static_cast<double>(expected.count()));
-  const Vector z = expected.sketch();
+  const Vector z = expected.sketch(window);
   for (std::size_t k = 0; k < l; ++k) {
     EXPECT_DOUBLE_EQ(response.values[2 + k], z[k]);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "dist/local_monitor.hpp"
@@ -218,6 +219,80 @@ TEST(NocFailureInjection, WrongMessageTypeInSketchPhaseRejected) {
   wrong.values = {1.0, 2.0};
   net.send(wrong);
   EXPECT_THROW(noc.ingest_sketch_responses(net), ProtocolError);
+}
+
+/// A sketch response for flows {0, 1} of a 2-flow, l = 2 NOC (window 16)
+/// whose second block carries `count`, `mean` and `z`.
+Message response_with(double count, double mean, double z) {
+  Message msg;
+  msg.type = MessageType::kSketchResponse;
+  msg.from = 1;
+  msg.to = kNocId;
+  msg.ids = {0, 1};
+  msg.values = {10.0, 4.0, 0.5, 0.5, mean, count, z, 0.25};
+  return msg;
+}
+
+TEST(NocFailureInjection, SketchCountMustBeAnIntegerTheWindowHolds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two_to_64 = 18446744073709551616.0;
+  for (const double count :
+       {std::nan(""), -1.0, -inf, inf, two_to_64, 1e300, 2.5, 17.0}) {
+    SimNetwork net;
+    Noc noc(2, small_noc_config(2));
+    net.send(response_with(count, 1.0, 0.5));
+    // Nothing is stored, not even the well-formed first block: the refit
+    // still finds flow 0 missing.
+    EXPECT_THROW(noc.ingest_sketch_response(net.drain(kNocId).at(0)),
+                 ProtocolError)
+        << count;
+    EXPECT_THROW(noc.refit(), ProtocolError) << count;
+  }
+  // The bounds themselves are valid counts.
+  for (const double count : {0.0, 16.0}) {
+    Noc noc(2, small_noc_config(2));
+    EXPECT_NO_THROW(
+        noc.ingest_sketch_response(response_with(count, 1.0, 0.5)));
+  }
+}
+
+TEST(NocFailureInjection, NonFiniteSketchValuesRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    Noc mean_noc(2, small_noc_config(2));
+    EXPECT_THROW(
+        mean_noc.ingest_sketch_response(response_with(4.0, bad, 0.5)),
+        ProtocolError);
+    EXPECT_THROW(mean_noc.refit(), ProtocolError);
+    Noc z_noc(2, small_noc_config(2));
+    EXPECT_THROW(z_noc.ingest_sketch_response(response_with(4.0, 1.0, bad)),
+                 ProtocolError);
+    EXPECT_THROW(z_noc.refit(), ProtocolError);
+  }
+}
+
+TEST(NocFailureInjection, NonFiniteOrNegativeVolumesRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool hosted : {false, true}) {
+    for (const double bad : {std::nan(""), inf, -inf, -1.0}) {
+      NocConfig config = small_noc_config(2);
+      config.host_sketches = hosted;
+      Noc noc(2, config);
+      Message report;
+      report.type = MessageType::kVolumeReport;
+      report.from = 1;
+      report.to = kNocId;
+      report.interval = 3;
+      report.ids = {0, 1};
+      report.values = {5.0, bad};
+      EXPECT_THROW((void)noc.assemble_volumes(3, {report}), ProtocolError)
+          << bad;
+      // No hosted sketch saw interval 3, so a clean report for it is taken.
+      report.values = {5.0, 0.0};
+      const Vector x = noc.assemble_volumes(3, {report});
+      EXPECT_EQ(x[1], 0.0);
+    }
+  }
 }
 
 TEST_F(NocProtocolTest, EagerModePullsEveryInterval) {

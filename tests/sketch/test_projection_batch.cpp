@@ -1,6 +1,6 @@
-// Bit-identity of the batched tug-of-war projection kernel: the AVX2 path,
-// the scalar fallback, and FlowSketch::add_batch must all reproduce the
-// serial per-update path exactly — not approximately — at every size.
+// Bit-identity of the batched tug-of-war coefficient-row kernel: the AVX2
+// path, the scalar fallback, and FlowSketch::add_batch must all reproduce
+// the serial per-update path exactly — not approximately — at every size.
 #include "sketch/projection_batch.hpp"
 
 #include <gtest/gtest.h>
@@ -23,29 +23,22 @@ class ScopedForceScalar final {
   ~ScopedForceScalar() { force_scalar_projection_kernel(false); }
 };
 
-std::vector<double> reference_payload(const ProjectionSource& projection,
-                                      std::int64_t t, double volume,
-                                      std::size_t l) {
-  std::vector<double> payload(2 * l);
-  for (std::size_t k = 0; k < l; ++k) {
-    const double r = projection.value(t, k);
-    payload[k] = volume * r;
-    payload[l + k] = r;
-  }
-  return payload;
+std::vector<double> reference_row(const ProjectionSource& projection,
+                                  std::int64_t t, std::size_t l) {
+  std::vector<double> row(l);
+  for (std::size_t k = 0; k < l; ++k) row[k] = projection.value(t, k);
+  return row;
 }
 
 TEST(ProjectionBatch, TowPayloadMatchesProjectionSource) {
   const ProjectionSource projection(ProjectionKind::kTugOfWar, 1234);
   for (const std::size_t l : {1u, 7u, 64u, 4096u}) {
     for (const std::int64_t t : {0, 1, 17, 100000}) {
-      const double volume = 3.75 * static_cast<double>(t + 1);
-      std::vector<double> payload(2 * l);
-      fill_tow_payload(projection.seed(), t, volume, l, payload.data());
-      const std::vector<double> want =
-          reference_payload(projection, t, volume, l);
-      ASSERT_EQ(0, std::memcmp(payload.data(), want.data(),
-                               payload.size() * sizeof(double)))
+      std::vector<double> row(l);
+      fill_tow_row(projection.seed(), t, l, row.data());
+      const std::vector<double> want = reference_row(projection, t, l);
+      ASSERT_EQ(0, std::memcmp(row.data(), want.data(),
+                               row.size() * sizeof(double)))
           << "l=" << l << " t=" << t;
     }
   }
@@ -55,17 +48,17 @@ TEST(ProjectionBatch, ScalarAndAvx2KernelsAgreeBitwise) {
   if (!cpu_supports_avx2()) GTEST_SKIP() << "host has no AVX2";
   const std::uint64_t seed = 99;
   for (const std::size_t l : {1u, 3u, 4u, 7u, 8u, 64u, 4096u}) {
-    std::vector<double> simd(2 * l);
-    std::vector<double> scalar(2 * l);
+    std::vector<double> simd(l);
+    std::vector<double> scalar(l);
     {
       ScopedForceScalar off(false);
       ASSERT_TRUE(projection_kernel_uses_avx2());
-      fill_tow_payload(seed, 42, 1e9 + 0.625, l, simd.data());
+      fill_tow_row(seed, 42, l, simd.data());
     }
     {
       ScopedForceScalar on(true);
       ASSERT_FALSE(projection_kernel_uses_avx2());
-      fill_tow_payload(seed, 42, 1e9 + 0.625, l, scalar.data());
+      fill_tow_row(seed, 42, l, scalar.data());
     }
     ASSERT_EQ(0, std::memcmp(simd.data(), scalar.data(),
                              simd.size() * sizeof(double)))
@@ -75,7 +68,10 @@ TEST(ProjectionBatch, ScalarAndAvx2KernelsAgreeBitwise) {
 
 /// Deep equality of two sketches: identical bucket lists (all statistics and
 /// payload words compared bitwise) and identical reported outputs.
-void expect_sketches_identical(const FlowSketch& a, const FlowSketch& b) {
+void expect_sketches_identical(const FlowSketch& a,
+                               const ProjectionWindow& window_a,
+                               const FlowSketch& b,
+                               const ProjectionWindow& window_b) {
   const auto& ha = a.histogram();
   const auto& hb = b.histogram();
   ASSERT_EQ(ha.bucket_count(), hb.bucket_count());
@@ -88,11 +84,12 @@ void expect_sketches_identical(const FlowSketch& a, const FlowSketch& b) {
     ASSERT_EQ(0, std::memcmp(&x.mean, &y.mean, sizeof x.mean));
     ASSERT_EQ(0, std::memcmp(&x.variance, &y.variance, sizeof x.variance));
     ASSERT_EQ(x.payload.size(), y.payload.size());
+    if (x.payload.empty()) continue;  // a window singleton on both sides
     ASSERT_EQ(0, std::memcmp(x.payload.data(), y.payload.data(),
                              x.payload.size() * sizeof(double)));
   }
-  const Vector za = a.sketch();
-  const Vector zb = b.sketch();
+  const Vector za = a.sketch(window_a);
+  const Vector zb = b.sketch(window_b);
   ASSERT_EQ(za.size(), zb.size());
   for (std::size_t k = 0; k < za.size(); ++k) {
     const double xa = za[k];
@@ -109,9 +106,11 @@ void check_add_batch(ProjectionKind kind, std::size_t batch,
       kind == ProjectionKind::kVerySparse
           ? ProjectionSource::very_sparse(7, 256)
           : ProjectionSource(kind, 7);
-  FlowSketch serial(/*window=*/256, /*epsilon=*/0.05, /*sketch_rows=*/16,
-                    projection);
-  FlowSketch batched(256, 0.05, 16, projection);
+  ProjectionWindow serial_window(projection, /*sketch_rows=*/16,
+                                 /*window=*/256, /*epsilon=*/0.05);
+  ProjectionWindow batched_window(projection, 16, 256, 0.05);
+  FlowSketch serial(serial_window);
+  FlowSketch batched(batched_window);
 
   std::vector<SketchUpdate> updates(total);
   for (std::size_t i = 0; i < total; ++i) {
@@ -120,12 +119,22 @@ void check_add_batch(ProjectionKind kind, std::size_t batch,
     updates[i].volume =
         (i % 11 == 0) ? 0.0 : 1000.0 + 13.25 * static_cast<double>(i % 97);
   }
-  for (const SketchUpdate& u : updates) serial.add(u.t, u.volume);
+  for (const SketchUpdate& u : updates) {
+    serial_window.advance(u.t);
+    serial.add(u.t, u.volume, serial_window);
+  }
+  // The owner's pattern (LocalMonitor::absorb_block): the whole block
+  // enters the window before the batched update reads it.
+  batched_window.reserve_block(batch);
   for (std::size_t lo = 0; lo < total; lo += batch) {
     const std::size_t n = std::min(batch, total - lo);
-    batched.add_batch(std::span<const SketchUpdate>(updates.data() + lo, n));
+    for (std::size_t i = lo; i < lo + n; ++i) {
+      batched_window.advance(updates[i].t);
+    }
+    batched.add_batch(std::span<const SketchUpdate>(updates.data() + lo, n),
+                      batched_window);
   }
-  expect_sketches_identical(serial, batched);
+  expect_sketches_identical(serial, serial_window, batched, batched_window);
 }
 
 TEST(ProjectionBatch, AddBatchBitIdenticalAtEveryBatchSize) {

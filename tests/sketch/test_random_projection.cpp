@@ -104,13 +104,15 @@ TEST(StreamingSketchMatchesExactProjection, CenteredColumns) {
   const std::size_t l = 64;
   const double epsilon = 0.05;
   const ProjectionSource proj(ProjectionKind::kGaussian, 101);
-  FlowSketch sketch(n, epsilon, l, proj);
+  ProjectionWindow window(proj, l, n, epsilon);
+  FlowSketch sketch(window);
 
   Xoshiro256 gen(55);
   std::vector<double> xs;
   for (std::int64_t t = 0; t < static_cast<std::int64_t>(n); ++t) {
     const double x = 200.0 + 30.0 * standard_normal(gen);
-    sketch.add(t, x);
+    window.advance(t);
+    sketch.add(t, x, window);
     xs.push_back(x);
   }
   Matrix y(n, 1);
@@ -118,7 +120,7 @@ TEST(StreamingSketchMatchesExactProjection, CenteredColumns) {
   const Matrix centered = center_columns(y);
   const Matrix z_exact = project_columns(centered, proj, 0, l);
 
-  const Vector z_stream = sketch.sketch();
+  const Vector z_stream = sketch.sketch(window);
   const double exact_norm = norm(z_exact.col(0));
   double diff2 = 0.0;
   for (std::size_t k = 0; k < l; ++k) {

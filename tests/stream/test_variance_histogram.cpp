@@ -174,11 +174,21 @@ TEST(VarianceHistogram, TimestampGapsExpireEverything) {
   EXPECT_DOUBLE_EQ(all.mean, 3.0);
 }
 
+/// Sum of every live bucket's payload: the owner's fold (FlowSketch folds
+/// its Z and R sums the same way, with the projection window).
+std::vector<double> payload_sum(const VarianceHistogram& vh) {
+  std::vector<double> sum(vh.payload_size(), 0.0);
+  for (const VhBucket& b : vh.buckets()) {
+    for (std::size_t k = 0; k < sum.size(); ++k) sum[k] += b.payload[k];
+  }
+  return sum;
+}
+
 TEST(VarianceHistogram, PayloadSumsAreExactDespiteMerging) {
   // The additive payload (the sketch's Z and R sums) is never approximated:
-  // merging only combines partial sums, so the aggregate payload must equal
-  // the exact running sum over retained elements — and over ALL window
-  // elements whenever no bucket has expired yet.
+  // merging only combines partial sums, so the payload summed over buckets
+  // must equal the exact running sum over retained elements — and over ALL
+  // window elements whenever no bucket has expired yet.
   const std::uint64_t window = 128;
   VarianceHistogram vh(window, 0.5, /*payload_size=*/3);
   Xoshiro256 gen(21);
@@ -188,9 +198,10 @@ TEST(VarianceHistogram, PayloadSumsAreExactDespiteMerging) {
     const double payload[3] = {x, 2.0 * x, 1.0};
     vh.add(t, x, payload);
     for (int k = 0; k < 3; ++k) exact[k] += payload[k];
-    const VhBucket all = vh.aggregate();
+    const std::vector<double> sum = payload_sum(vh);
     for (int k = 0; k < 3; ++k) {
-      ASSERT_NEAR(all.payload[k], exact[k], 1e-9 * std::abs(exact[k]))
+      ASSERT_NEAR(sum[static_cast<std::size_t>(k)], exact[k],
+                  1e-9 * std::abs(exact[k]))
           << "t=" << t << " k=" << k;
     }
   }
@@ -214,11 +225,60 @@ TEST(VarianceHistogram, PayloadMatchesRetainedElementSumAfterExpiry) {
     for (std::size_t i = values.size() - all.count; i < values.size(); ++i) {
       suffix_sum += values[i];
     }
-    ASSERT_NEAR(all.payload[0], suffix_sum, 1e-9 * std::abs(suffix_sum))
+    ASSERT_NEAR(payload_sum(vh)[0], suffix_sum, 1e-9 * std::abs(suffix_sum))
         << "t=" << t;
     ASSERT_NEAR(all.mean, suffix_sum / static_cast<double>(all.count),
                 1e-9) << "t=" << t;
   }
+}
+
+TEST(VarianceHistogram, NoMergeBoundOfRules2And3) {
+  // A merge needs a suffix of at least 20/eps elements (Rule 2) and at most
+  // floor(n/2) - 2 (Rule 3): at eps = 0.1 a stream merges at n = 404 and
+  // never at 403; at eps = 0.01, at 4004 and never at 4003.
+  struct Boundary {
+    double epsilon;
+    std::uint64_t first_merging;
+  };
+  for (const Boundary b : {Boundary{0.1, 404}, Boundary{0.01, 4004}}) {
+    for (const std::uint64_t n : {b.first_merging - 1, b.first_merging}) {
+      VarianceHistogram vh(n, b.epsilon);
+      Xoshiro256 gen(n);
+      for (std::int64_t t = 0; t < 2 * static_cast<std::int64_t>(n); ++t) {
+        vh.add(t, 100.0 + standard_normal(gen));
+      }
+      const bool merging = n == b.first_merging;
+      EXPECT_EQ(vh.merge_count() > 0, merging) << "n=" << n;
+      if (!merging) {
+        EXPECT_EQ(vh.bucket_count(), n);
+      }
+    }
+  }
+}
+
+TEST(VarianceHistogram, PayloadlessBucketsMustGetPayloadsBeforeMerging) {
+  // eps = 0.5: Rule 2 lets two buckets merge once 40 newer elements exist,
+  // so the 42nd element makes the two oldest the first merge candidates.
+  VarianceHistogram vh(256, 0.5, /*payload_size=*/2);
+  for (std::int64_t t = 0; t < 41; ++t) {
+    vh.add_without_payload(t, 1.0);
+  }
+  EXPECT_EQ(vh.merge_count(), 0u);
+  EXPECT_EQ(vh.memory_bytes(),
+            sizeof(VarianceHistogram) + 41 * sizeof(VhBucket));
+  EXPECT_THROW(vh.add_without_payload(41, 1.0), ContractViolation);
+
+  VarianceHistogram ready(256, 0.5, 2);
+  for (std::int64_t t = 0; t < 41; ++t) ready.add_without_payload(t, 1.0);
+  for (const std::size_t i : {39u, 40u}) {
+    const std::span<double> payload = ready.attach_payload(i);
+    payload[0] = 1.0;
+    payload[1] = 2.0;
+  }
+  ready.add_without_payload(41, 1.0);
+  EXPECT_EQ(ready.merge_count(), 1u);
+  EXPECT_EQ(ready.buckets().back().payload,
+            (std::vector<double>{2.0, 4.0}));
 }
 
 TEST(VarianceHistogram, MemoryBytesTracksBuckets) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/contracts.hpp"
 
 namespace spca {
@@ -53,6 +55,11 @@ TEST(VolumeCounter, BoundsAndArgumentChecks) {
   VolumeCounter counter(2);
   EXPECT_THROW(counter.record(2, 1), ContractViolation);
   EXPECT_THROW(counter.record_bytes(0, -1.0), ContractViolation);
+  EXPECT_THROW(counter.record_bytes(0, std::numeric_limits<double>::infinity()),
+               ContractViolation);
+  EXPECT_THROW(
+      counter.record_bytes(0, std::numeric_limits<double>::quiet_NaN()),
+      ContractViolation);
   EXPECT_THROW((void)counter.volume(5), ContractViolation);
   EXPECT_THROW(VolumeCounter(0), ContractViolation);
 }
