@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
       std::ofstream out(out_path, std::ios::app);
       if (!out) throw InputError("cannot open '" + out_path + "'");
       for (const BackendScore& score : scores) {
-        out << "{\"backend\": \"" << score.name << "\", \"type1\": "
+        out << "{\"backend\": \"" << score.name << "\", \"sketch_rows\": "
+            << flags.integer("sketch-rows") << ", \"type1\": "
             << score.confusion.type1_error() << ", \"type2\": "
             << score.confusion.type2_error() << ", \"divergence\": "
             << score.divergence << ", \"diverged\": " << score.diverged

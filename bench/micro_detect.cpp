@@ -92,7 +92,7 @@ void BM_NocRefitBackend(benchmark::State& state, ModelBackendKind kind) {
     }
     drifted.push_back(std::move(z));
   }
-  const auto backend = make_model_backend(kind, m);
+  const auto backend = make_model_backend(kind, m, l);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend->fit_rows(

@@ -7,6 +7,7 @@
 // separate runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -46,10 +47,14 @@ RankSweepResult run_rank_sweep(Detector& detector, const TraceSet& trace,
     const PcaModel* model = model_of(detector);
     if (model == nullptr) continue;
     const Vector profile = detector.distance_profile();
-    for (std::size_t r = 1; r <= max_rank && r <= profile.size(); ++r) {
+    if (profile.size() == 0) continue;
+    for (std::size_t r = 1; r <= max_rank; ++r) {
+      // The profile stops at the model's largest rank (min(l, m) - 1 for a
+      // sketch); a larger r is clamped to it, as RankPolicy::select does.
+      const std::size_t rank = std::min(r, profile.size());
       const double threshold2 = q_statistic_threshold_squared(
-          model->singular_values(), r, model->sample_count(), alpha);
-      const double d = profile[r - 1];
+          model->singular_values(), rank, model->sample_count(), alpha);
+      const double d = profile[rank - 1];
       result.alarms[r - 1][t] = d * d > threshold2 ? 1 : 0;
     }
   }

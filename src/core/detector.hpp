@@ -58,9 +58,16 @@ struct RankPolicy {
 
   /// Applies the policy. `fitted_data` is the matrix the model was fitted
   /// on (needed by kKSigma; may be empty for the other kinds). The result
-  /// is clamped to [1, m-1] so both subspaces are nonempty.
+  /// is clamped to [1, k-1], k = model.component_count() (min(l, m) for a
+  /// sketch model), so both subspaces are nonempty.
   [[nodiscard]] std::size_t select(const PcaModel& model,
                                    const Matrix& fitted_data) const;
+
+  /// The largest rank select returns for a model of k components; the
+  /// checkpoint decoders reject any other.
+  [[nodiscard]] static std::size_t max_rank(std::size_t k) noexcept {
+    return k > 1 ? k - 1 : 1;
+  }
 };
 
 /// Checkpoint codec shared by the SPCA and SPCN blobs: u8 kind

@@ -15,7 +15,7 @@ LakhinaDetector::LakhinaDetector(std::size_t dimensions,
                                  const LakhinaConfig& config)
     : m_(dimensions),
       config_(config),
-      backend_(make_model_backend(config.backend, dimensions)),
+      backend_(make_model_backend(config.backend, dimensions, dimensions)),
       sum_(dimensions),
       gram_(dimensions, dimensions),
       last_centered_(dimensions) {

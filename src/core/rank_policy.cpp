@@ -9,7 +9,6 @@ namespace spca {
 std::size_t RankPolicy::select(const PcaModel& model,
                                const Matrix& fitted_data) const {
   SPCA_EXPECTS(model.fitted());
-  const std::size_t m = model.dimensions();
   std::size_t r = 0;
   switch (kind) {
     case Kind::kFixed:
@@ -26,7 +25,10 @@ std::size_t RankPolicy::select(const PcaModel& model,
       r = select_rank_by_scree(model.singular_values(), scree_knee);
       break;
   }
-  return std::clamp<std::size_t>(r, 1, m > 1 ? m - 1 : 1);
+  // A sketch model keeps k = min(l, m) components: at r >= l the residual
+  // spectrum would be rounding noise, and the Q threshold built from it
+  // meaningless.
+  return std::clamp<std::size_t>(r, 1, max_rank(model.component_count()));
 }
 
 void write_rank_policy(ByteWriter& out, const RankPolicy& policy) {

@@ -30,7 +30,8 @@ SketchDetector::SketchDetector(std::size_t dimensions,
                                const SketchDetectorConfig& config)
     : m_(dimensions),
       config_(config),
-      backend_(make_model_backend(config.backend, dimensions)),
+      backend_(make_model_backend(config.backend, dimensions,
+                                   config.sketch_rows)),
       window_(window_for(config)),
       last_centered_(dimensions) {
   SPCA_EXPECTS(dimensions >= 2);
@@ -147,9 +148,10 @@ void SketchDetector::refresh_model() {
 
 Vector SketchDetector::distance_profile() const {
   SPCA_EXPECTS(model_.fitted());
-  Vector profile(m_ - 1);
+  const std::size_t k = model_.component_count();
+  Vector profile(k - 1);
   double residual = norm_squared(last_centered_);
-  for (std::size_t r = 1; r < m_; ++r) {
+  for (std::size_t r = 1; r < k; ++r) {
     double proj = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
       proj += model_.components()(i, r - 1) * last_centered_[i];
@@ -162,19 +164,15 @@ Vector SketchDetector::distance_profile() const {
 
 std::size_t SketchDetector::memory_bytes() const noexcept {
   // Fixed-size detector state: the object itself, the retained last
-  // centered vector, and the fitted model's heap allocations (spectrum,
-  // m x m component basis, column means). These are O(m^2) and independent
-  // of the window length n, so Theorem 1's O(w log n) summary-state bound
-  // is unaffected — but the absolute number now matches what a deployment
-  // actually holds in memory.
+  // centered vector, the fitted model's heap allocations (spectrum,
+  // m x min(l, m) component basis, column means) and the backend's warm
+  // basis. These are O(m l) and independent of the window length n, so
+  // Theorem 1's O(w log n) summary-state bound is unaffected — but the
+  // absolute number matches what a deployment actually holds in memory.
   std::size_t bytes = sizeof(*this) + window_.memory_bytes();
+  bytes += backend_->memory_bytes();
   bytes += last_centered_.size() * sizeof(double);
-  if (model_.fitted()) {
-    bytes += model_.singular_values().size() * sizeof(double);
-    bytes += model_.column_means().size() * sizeof(double);
-    bytes += model_.components().rows() * model_.components().cols() *
-             sizeof(double);
-  }
+  bytes += model_.memory_bytes();
   for (const auto& f : flows_) bytes += f.memory_bytes();
   return bytes;
 }

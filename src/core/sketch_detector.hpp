@@ -76,8 +76,8 @@ class SketchDetector final : public Detector {
     return *backend_;
   }
 
-  /// Distances for all candidate ranks of the last observation (see
-  /// LakhinaDetector::distance_profile).
+  /// Distances for the candidate ranks 1..k-1 of the last observation,
+  /// k = min(l, m) (see LakhinaDetector::distance_profile).
   [[nodiscard]] Vector distance_profile() const;
 
   /// Number of PCA recomputations (sketch pulls in the distributed view).
@@ -87,9 +87,9 @@ class SketchDetector final : public Detector {
 
   /// Total bytes of detector state: every flow sketch's summary (the
   /// Theorem 1 O(w log n) part), their shared projection window, and the
-  /// detector's fixed-size members — the fitted model and the retained
-  /// last-centered vector. Mirrored into the `spca.sketch.memory_bytes`
-  /// gauge on every model refresh.
+  /// detector's fixed-size members — the fitted model, the warm basis and
+  /// the retained last-centered vector. Mirrored into the
+  /// `spca.sketch.memory_bytes` gauge on every model refresh.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Serializes the complete detector state — configuration, every flow's

@@ -1,6 +1,6 @@
 // Checkpoint format of the SketchDetector (versioned, little-endian):
 //
-//   u32 magic 'SPCA' | u32 version (3)
+//   u32 magic 'SPCA' | u32 version (4)
 //   config: u64 window | f64 epsilon | u64 sketch_rows | f64 alpha
 //           | rank policy (see write_rank_policy: u8 kind | u64 fixed_rank
 //             | f64 energy_fraction | f64 ksigma_k | f64 scree_knee)
@@ -8,9 +8,11 @@
 //           | u8 backend kind
 //   u64 dimensions | u64 observed | u64 model_computations
 //   model: u8 fitted; if fitted: PcaModel::save_state (u64 sample_count
-//          | f64[] singular_values | f64[] components (row-major m*m)
-//          | f64[] means) | u64 rank | f64 threshold_squared
-//   backend state (kind-specific, see ModelBackend::save_state)
+//          | f64[] singular_values (k) | f64[] components (row-major m*k)
+//          | f64[] means (m)) | u64 rank | f64 threshold_squared,
+//          k = min(sketch_rows, m)
+//   backend state (kind-specific, see ModelBackend::save_state; the warm
+//   basis is k*k)
 //   per flow (dimensions times, see FlowSketch::save_state):
 //     i64 now | u64 bucket_count
 //     per bucket: i64 timestamp | u64 count | f64 mean | f64 variance
@@ -22,9 +24,11 @@
 // detector) and rejects it as ProtocolError instead.
 //
 // Version history: v1 had no backend section; v2 carried the full tuning
-// config of four backends and a truncated-basis width in the model. Both
-// are no longer readable (restore throws ProtocolError on the version
+// config of four backends and a truncated-basis width in the model; v3
+// stored m components and an m x m warm basis whatever the sketch length.
+// None is readable any more (restore throws ProtocolError on the version
 // word).
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -35,7 +39,7 @@ namespace spca {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x53504341;  // "SPCA"
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 // A flow's sketch state is at least i64 now and the bucket count word.
 constexpr std::size_t kMinFlowStateBytes = 8 + 8;
 }  // namespace
@@ -117,12 +121,13 @@ SketchDetector SketchDetector::restore_state(
   detector.model_computations_ = in.get<std::uint64_t>();
 
   if (in.get<std::uint8_t>() != 0) {
-    detector.model_ = PcaModel::restore_state(in, m);
+    const std::size_t k = std::min(config.sketch_rows, m);
+    detector.model_ = PcaModel::restore_state(in, m, k);
     detector.rank_ = static_cast<std::size_t>(in.get<std::uint64_t>());
     detector.threshold_squared_ = in.get<double>();
-    // RankPolicy::select only ever picks a rank in [1, m-1]; rank m would
+    // RankPolicy::select only ever picks a rank in [1, k-1]; rank k would
     // leave no residual subspace, so the detector could never alarm.
-    if (detector.rank_ < 1 || detector.rank_ >= m ||
+    if (detector.rank_ < 1 || detector.rank_ > RankPolicy::max_rank(k) ||
         !std::isfinite(detector.threshold_squared_) ||
         detector.threshold_squared_ < 0.0) {
       throw ProtocolError(

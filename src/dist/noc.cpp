@@ -49,7 +49,8 @@ ProjectionWindow hosted_window_for(const NocConfig& config) {
 Noc::Noc(std::size_t num_flows, const NocConfig& config)
     : m_(num_flows),
       config_(config),
-      backend_(make_model_backend(config.backend, num_flows)),
+      backend_(make_model_backend(config.backend, num_flows,
+                                   config.sketch_rows)),
       flow_state_(num_flows),
       hosted_window_(hosted_window_for(config)) {
   SPCA_EXPECTS(num_flows >= 2);
@@ -162,11 +163,14 @@ void Noc::ingest_sketch_responses(Transport& network) {
 }
 
 void Noc::refit() {
-  // The NOC-side O(m^2 l) PCA step of Theorem 1: SVD of the assembled
-  // sketch matrix plus rank selection and threshold computation.
+  // The NOC-side PCA step of Theorem 1 — O(m l min(l, m)) on the small
+  // side of the assembled sketch matrix — plus rank selection and
+  // threshold computation.
   static Histogram& refit_seconds =
       MetricsRegistry::global().histogram("spca.noc.refit_seconds");
   static Counter& refits = MetricsRegistry::global().counter("spca.noc.refits");
+  static Gauge& memory_gauge =
+      MetricsRegistry::global().gauge("spca.noc.memory_bytes");
   const ScopedTimer timer(refit_seconds);
   const ScopedSpan span("noc", kStageRefit, last_interval_);
   refits.inc();
@@ -199,6 +203,20 @@ void Noc::refit() {
   rank_ = config_.rank_policy.select(*model_, z);
   threshold_squared_ = q_statistic_threshold_squared(
       model_->singular_values(), rank_, n_eff, config_.alpha);
+  memory_gauge.set(static_cast<double>(memory_bytes()));
+}
+
+std::size_t Noc::memory_bytes() const noexcept {
+  std::size_t bytes = sizeof(*this) + backend_->memory_bytes() +
+                      hosted_window_.memory_bytes();
+  for (const FlowState& state : flow_state_) {
+    bytes += sizeof(FlowState) + state.sketch.size() * sizeof(double);
+  }
+  for (const FlowSketch& sketch : hosted_sketches_) {
+    bytes += sketch.memory_bytes();
+  }
+  if (model_) bytes += model_->memory_bytes();
+  return bytes;
 }
 
 void Noc::pull_hosted() {

@@ -137,6 +137,13 @@ class Noc final {
     return *backend_;
   }
 
+  /// Bytes of NOC state: the per-flow sketch state (m l), the fitted model
+  /// (m min(l, m)), the warm basis (min(l, m)^2) and any NOC-hosted
+  /// sketches with their projection window — O(m l) in all, the paper's
+  /// O(m log n) NOC space at l = O(log n). Mirrored into the
+  /// `spca.noc.memory_bytes` gauge on every refit.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   /// Serializes the full NOC state — configuration, per-flow sketch state,
   /// hosted histograms, the fitted model, rank, and threshold — into a
   /// versioned blob (dist/noc_io.cpp). A restored NOC continues the lazy

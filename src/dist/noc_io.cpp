@@ -1,6 +1,6 @@
 // Checkpoint format of the Noc (versioned, little-endian):
 //
-//   u32 magic 'SPCN' | u32 version (3)
+//   u32 magic 'SPCN' | u32 version (4)
 //   config: u64 window | u64 sketch_rows | f64 alpha
 //           | rank policy (see write_rank_policy: u8 kind | u64 fixed_rank
 //             | f64 energy_fraction | f64 ksigma_k | f64 scree_knee)
@@ -15,18 +15,22 @@
 //                 | f64[] payload (a window singleton's as rebuilt from the
 //                   projection window, which restore refills and checks)
 //   model: u8 fitted; if fitted: PcaModel::save_state (u64 sample_count
-//          | f64[] singular_values | f64[] components (row-major m*m)
-//          | f64[] means) | u64 rank | f64 threshold_squared
-//   backend state (kind-specific, see ModelBackend::save_state)
+//          | f64[] singular_values (k) | f64[] components (row-major m*k)
+//          | f64[] means (m)) | u64 rank | f64 threshold_squared,
+//          k = min(sketch_rows, m)
+//   backend state (kind-specific, see ModelBackend::save_state; the warm
+//   basis is k*k)
 //
 // Restore range-checks every field the NOC would otherwise trip over later
 // (as a ContractViolation, an allocation failure, or a silently dead
 // detector) and rejects it as ProtocolError instead.
 //
 // Version history: v1 had no backend section; v2 carried the full tuning
-// config of four backends and a truncated-basis width in the model. Both
-// are no longer readable (restore throws ProtocolError on the version
+// config of four backends and a truncated-basis width in the model; v3
+// stored m components and an m x m warm basis whatever the sketch length.
+// None is readable any more (restore throws ProtocolError on the version
 // word).
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -37,7 +41,7 @@ namespace spca {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4E435053;  // "SPCN"
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 // A flow's state is at least f64 mean, u64 count, u8 seen and the sketch
 // length word.
 constexpr std::size_t kMinFlowStateBytes = 8 + 8 + 1 + 8;
@@ -148,12 +152,13 @@ Noc Noc::restore_state(const std::vector<std::byte>& blob,
       FlowSketch::restore_states(in, hosted_count, noc.hosted_window_);
 
   if (in.get<std::uint8_t>() != 0) {
-    noc.model_ = PcaModel::restore_state(in, m);
+    const std::size_t k = std::min(config.sketch_rows, m);
+    noc.model_ = PcaModel::restore_state(in, m, k);
     noc.rank_ = static_cast<std::size_t>(in.get<std::uint64_t>());
     noc.threshold_squared_ = in.get<double>();
-    // RankPolicy::select only ever picks a rank in [1, m-1]; rank m would
+    // RankPolicy::select only ever picks a rank in [1, k-1]; rank k would
     // leave no residual subspace, so the NOC could never alarm or pull.
-    if (noc.rank_ < 1 || noc.rank_ >= m ||
+    if (noc.rank_ < 1 || noc.rank_ > RankPolicy::max_rank(k) ||
         !std::isfinite(noc.threshold_squared_) ||
         noc.threshold_squared_ < 0.0) {
       throw ProtocolError("Noc::restore_state: bad rank or threshold");

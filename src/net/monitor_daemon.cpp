@@ -244,7 +244,18 @@ MonitorDaemonResult MonitorDaemon::run() {
                                        static_cast<std::size_t>(t), flow));
       }
     }
-    monitor->end_interval(t, bus);
+    // A NOC that went away after advancing us (a restart) can fail the
+    // report's send even after the transport's one redial. The report is
+    // then re-sent below once the link is back, instead of ending the
+    // monitor and, through it, the deployment.
+    bool resend = false;
+    try {
+      monitor->end_interval(t, bus);
+    } catch (const TransportError& e) {
+      log_warn("monitord ", config_.monitor_id, ": report for interval ", t,
+               " not delivered (", e.what(), "), re-sending on reconnect");
+      resend = true;
+    }
     ++result.intervals_reported;
     std::uint64_t seen_reconnects = transport.reconnects();
 
@@ -276,9 +287,10 @@ MonitorDaemonResult MonitorDaemon::run() {
         try {
           transport.ensure_connected(config_.upstream_id);
           const std::uint64_t rc = transport.reconnects();
-          if (rc != seen_reconnects) {
+          if (resend || rc != seen_reconnects) {
             seen_reconnects = rc;
             monitor->resend_report(bus);
+            resend = false;
             log_info("monitord ", config_.monitor_id,
                      ": NOC link re-established, re-sent interval ", t);
           }

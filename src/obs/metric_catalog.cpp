@@ -140,6 +140,9 @@ const MetricInfo kCatalog[] = {
      "NOC refits that cleared the tentative alarm."},
     {"spca.noc.lazy_pulls", MetricKind::kCounter,
      "Sketch pulls the NOC issued under the lazy protocol."},
+    {"spca.noc.memory_bytes", MetricKind::kGauge,
+     "Resident state bytes of the NOC (sketch state, model, warm basis) at "
+     "its latest refit."},
     {"spca.noc.pull_round_trip_seconds", MetricKind::kHistogram,
      "Wall time from sketch-pull request to last monitor response."},
     {"spca.noc.refit_seconds", MetricKind::kHistogram,

@@ -85,35 +85,54 @@ class ExactBackend final : public ModelBackend {
 /// kDriftThreshold between consecutive refits (routing shifts, window
 /// regime changes), since a badly stale basis makes the rotated problem
 /// *harder* than a cold start.
+///
+/// The eigenproblem is solved on the small side of the l x m row matrix Z:
+/// the m x m Gram matrix Z^T Z when l >= m, the l x l Z Z^T when l < m. Both
+/// carry the same nonzero eigenvalues, the squared singular values of Z;
+/// the l x l side yields the left vectors U, lifted to the components by
+/// V = Z^T U Sigma^-1. The warm basis is min(l, m) square either way.
 class WarmBackend final : public ModelBackend {
  public:
-  explicit WarmBackend(std::size_t dimensions)
-      : ModelBackend(ModelBackendKind::kWarm), dims_(dimensions) {}
+  WarmBackend(std::size_t dimensions, std::size_t rows)
+      : ModelBackend(ModelBackendKind::kWarm),
+        dims_(dimensions),
+        side_(std::min(rows, dimensions)) {}
 
   PcaModel fit_rows(const Matrix& rows, Vector column_means,
                     std::uint64_t sample_count) override {
-    // Row path goes through the O(l m^2) Gram product: the m x m eigen
-    // problem is where the warm start pays, and ||Z||-scale symmetry makes
-    // the eigenvalues exactly the squared singular values of Z.
-    return fit_gram(gram(rows), std::move(column_means), sample_count);
+    SPCA_EXPECTS(rows.cols() == dims_ && std::min(rows.rows(), dims_) == side_);
+    if (side_ == dims_) {
+      // ||Z||-scale symmetry makes the Gram eigenvalues exactly the squared
+      // singular values of Z.
+      return fit_gram(gram(rows), std::move(column_means), sample_count);
+    }
+    const ScopedTimer timer(refit_seconds_metric());
+    const Matrix rows_t = transpose(rows);
+    const EigenSym e = solve(gram(rows_t));
+    Vector sigma = singular_from_eigen(e.values);
+    if (!(sigma[side_ - 1] > kLiftFloor * sigma[0])) {
+      // Numerically rank deficient: the lift would divide rounding noise by
+      // ~0, so take the components from the m x m side, whose eigenvectors
+      // stay orthonormal, and keep its leading min(l, m).
+      EigenSym full = eigen_symmetric(gram(rows));
+      backend_sweeps_metric().inc(static_cast<std::uint64_t>(full.sweeps));
+      return PcaModel::from_leading(side_, singular_from_eigen(full.values),
+                                    std::move(full.vectors),
+                                    std::move(column_means), sample_count);
+    }
+    Matrix v = multiply(rows_t, e.vectors);
+    for (std::size_t i = 0; i < dims_; ++i) {
+      for (std::size_t j = 0; j < side_; ++j) v(i, j) /= sigma[j];
+    }
+    return PcaModel::from_parts(std::move(sigma), std::move(v),
+                                std::move(column_means), sample_count);
   }
 
   PcaModel fit_gram(const Matrix& centered_gram, Vector column_means,
                     std::uint64_t sample_count) override {
-    SPCA_EXPECTS(centered_gram.rows() == dims_);
+    SPCA_EXPECTS(centered_gram.rows() == dims_ && side_ == dims_);
     const ScopedTimer timer(refit_seconds_metric());
-    EigenSym e = basis_.empty() ? eigen_symmetric(centered_gram)
-                                : eigen_symmetric_warm(centered_gram, basis_);
-    backend_sweeps_metric().inc(static_cast<std::uint64_t>(e.sweeps));
-    const double drift = basis_.empty() ? 0.0 : subspace_drift(e.vectors);
-    if (drift > kDriftThreshold) {
-      // The subspace rotated hard; make the next refit cold instead of
-      // warm-starting from a basis that no longer resembles the answer.
-      basis_ = Matrix();
-      drift_restarts_metric().inc();
-    } else {
-      basis_ = e.vectors;
-    }
+    EigenSym e = solve(centered_gram);
     return PcaModel::from_parts(singular_from_eigen(e.values),
                                 std::move(e.vectors), std::move(column_means),
                                 sample_count);
@@ -122,10 +141,10 @@ class WarmBackend final : public ModelBackend {
   void save_state(ByteWriter& out) const override {
     out.put(static_cast<std::uint8_t>(basis_.empty() ? 0 : 1));
     if (basis_.empty()) return;
-    std::vector<double> flat(dims_ * dims_);
-    for (std::size_t i = 0; i < dims_; ++i) {
-      for (std::size_t j = 0; j < dims_; ++j) {
-        flat[i * dims_ + j] = basis_(i, j);
+    std::vector<double> flat(side_ * side_);
+    for (std::size_t i = 0; i < side_; ++i) {
+      for (std::size_t j = 0; j < side_; ++j) {
+        flat[i * side_ + j] = basis_(i, j);
       }
     }
     out.put_all(flat);
@@ -137,7 +156,7 @@ class WarmBackend final : public ModelBackend {
       return;
     }
     const std::vector<double> flat = in.get_all<double>();
-    if (flat.size() != dims_ * dims_) {
+    if (flat.size() != side_ * side_) {
       throw ProtocolError("warm backend: bad basis shape");
     }
     // A non-finite basis would poison the next warm solve, and with it the
@@ -146,24 +165,52 @@ class WarmBackend final : public ModelBackend {
                      [](double v) { return std::isfinite(v); })) {
       throw ProtocolError("warm backend: non-finite basis");
     }
-    basis_ = Matrix(dims_, dims_);
-    for (std::size_t i = 0; i < dims_; ++i) {
-      for (std::size_t j = 0; j < dims_; ++j) {
-        basis_(i, j) = flat[i * dims_ + j];
+    basis_ = Matrix(side_, side_);
+    for (std::size_t i = 0; i < side_; ++i) {
+      for (std::size_t j = 0; j < side_; ++j) {
+        basis_(i, j) = flat[i * side_ + j];
       }
     }
   }
 
+  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+    return basis_.rows() * basis_.cols() * sizeof(double);
+  }
+
  private:
-  /// 1 - mean_j |<v_new_j, v_old_j>| over the top min(kDriftAxes, m) axes:
-  /// 0 when the leading eigenvectors line up (up to sign), 1 when
+  /// Smallest sigma_k / sigma_1 the lift divides by. A lifted column's
+  /// error grows like (solver tolerance ~1e-13) * (sigma_1 / sigma_k)^2, so
+  /// this keeps every column orthonormal to ~1e-5 and the leading ones to
+  /// rounding.
+  static constexpr double kLiftFloor = 1e-4;
+
+  /// Eigen-solves the side_ x side_ symmetric matrix, warm from the previous
+  /// basis, and keeps the result as the next basis unless it drifted.
+  [[nodiscard]] EigenSym solve(const Matrix& symmetric) {
+    EigenSym e = basis_.empty() ? eigen_symmetric(symmetric)
+                                : eigen_symmetric_warm(symmetric, basis_);
+    backend_sweeps_metric().inc(static_cast<std::uint64_t>(e.sweeps));
+    const double drift = basis_.empty() ? 0.0 : subspace_drift(e.vectors);
+    if (drift > kDriftThreshold) {
+      // The subspace rotated hard; make the next refit cold instead of
+      // warm-starting from a basis that no longer resembles the answer.
+      basis_ = Matrix();
+      drift_restarts_metric().inc();
+    } else {
+      basis_ = e.vectors;
+    }
+    return e;
+  }
+
+  /// 1 - mean_j |<v_new_j, v_old_j>| over the top min(kDriftAxes, side)
+  /// axes: 0 when the leading eigenvectors line up (up to sign), 1 when
   /// orthogonal.
   [[nodiscard]] double subspace_drift(const Matrix& fresh) const {
-    const std::size_t k = std::min(kDriftAxes, dims_);
+    const std::size_t k = std::min(kDriftAxes, side_);
     double aligned = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       double dot = 0.0;
-      for (std::size_t i = 0; i < dims_; ++i) {
+      for (std::size_t i = 0; i < side_; ++i) {
         dot += fresh(i, j) * basis_(i, j);
       }
       aligned += std::abs(dot);
@@ -172,19 +219,21 @@ class WarmBackend final : public ModelBackend {
   }
 
   std::size_t dims_;
-  Matrix basis_;  // previous components; empty => next refit is cold
+  std::size_t side_;  // min(l, m): the side of the solved matrix and basis
+  Matrix basis_;      // previous eigenvectors; empty => next refit is cold
 };
 
 }  // namespace
 
 std::unique_ptr<ModelBackend> make_model_backend(ModelBackendKind kind,
-                                                 std::size_t dimensions) {
-  SPCA_EXPECTS(dimensions >= 1);
+                                                 std::size_t dimensions,
+                                                 std::size_t rows) {
+  SPCA_EXPECTS(dimensions >= 1 && rows >= 1);
   switch (kind) {
     case ModelBackendKind::kExact:
       return std::make_unique<ExactBackend>();
     case ModelBackendKind::kWarm:
-      return std::make_unique<WarmBackend>(dimensions);
+      return std::make_unique<WarmBackend>(dimensions, rows);
   }
   throw InputError("make_model_backend: unknown backend kind");
 }

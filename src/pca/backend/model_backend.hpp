@@ -6,8 +6,9 @@
 // verdicts:
 //
 //   exact  cold Jacobi / one-sided-Jacobi SVD — the accuracy reference
-//   warm   warm-started Jacobi seeded by the previous basis, with a
-//          drift-triggered cold restart (the default)
+//   warm   warm-started Jacobi on the min(l, m) side of the l x m sketch,
+//          seeded by the previous basis, with a drift-triggered cold
+//          restart (the default)
 //
 // Determinism rules: both backends are bit-reproducible across runs, thread
 // counts, and checkpoint restore; warm checkpoints its basis.
@@ -49,9 +50,9 @@ class ModelBackend {
   [[nodiscard]] ModelBackendKind kind() const noexcept { return kind_; }
 
   /// Fits from an l x m row matrix (the sketch matrix Z-hat, already
-  /// centered by construction). `column_means` and `sample_count` carry the
-  /// window centering/scaling information exactly as PcaModel::from_sketch
-  /// takes them.
+  /// centered by construction) a model of min(l, m) components.
+  /// `column_means` and `sample_count` carry the window centering/scaling
+  /// information exactly as PcaModel::from_sketch takes them.
   [[nodiscard]] virtual PcaModel fit_rows(const Matrix& rows,
                                           Vector column_means,
                                           std::uint64_t sample_count) = 0;
@@ -68,6 +69,11 @@ class ModelBackend {
   virtual void save_state(ByteWriter& out) const;
   virtual void restore_state(ByteReader& in);
 
+  /// Heap bytes of the inter-refit state (the warm basis).
+  [[nodiscard]] virtual std::size_t memory_bytes() const noexcept {
+    return 0;
+  }
+
  protected:
   explicit ModelBackend(ModelBackendKind kind) : kind_(kind) {}
 
@@ -75,8 +81,11 @@ class ModelBackend {
   ModelBackendKind kind_;
 };
 
-/// Builds the backend of `kind` for `dimensions`-flow data.
+/// Builds the backend of `kind` for `dimensions`-flow data whose fit_rows
+/// calls pass `rows`-row matrices (the sketch length l); an owner that
+/// fits m x m Gram matrices passes rows = dimensions. The warm basis is
+/// min(rows, dimensions) square.
 [[nodiscard]] std::unique_ptr<ModelBackend> make_model_backend(
-    ModelBackendKind kind, std::size_t dimensions);
+    ModelBackendKind kind, std::size_t dimensions, std::size_t rows);
 
 }  // namespace spca

@@ -13,22 +13,17 @@ namespace spca {
 
 PcaModel PcaModel::from_data(const Matrix& x) {
   SPCA_EXPECTS(x.rows() >= 2 && x.cols() >= 1);
-  PcaModel model;
-  model.dims_ = x.cols();
-  model.sample_count_ = x.rows();
-  model.means_ = ::spca::column_means(x);
-  const Matrix y = center_columns(x);
-  Svd f = svd(y, /*want_left=*/false);
-  model.singular_values_ = std::move(f.values);
-  model.components_ = std::move(f.right);
-  return model;
+  Svd f = svd(center_columns(x), /*want_left=*/false);
+  return from_parts(std::move(f.values), std::move(f.right),
+                    ::spca::column_means(x), x.rows());
 }
 
 PcaModel PcaModel::from_parts(Vector singular_values, Matrix components,
                               Vector column_means,
                               std::uint64_t sample_count) {
-  SPCA_EXPECTS(components.rows() == components.cols());
-  SPCA_EXPECTS(components.rows() == singular_values.size());
+  SPCA_EXPECTS(components.cols() >= 1 &&
+               components.cols() <= components.rows());
+  SPCA_EXPECTS(components.cols() == singular_values.size());
   SPCA_EXPECTS(components.rows() == column_means.size());
   SPCA_EXPECTS(sample_count >= 2);
   PcaModel model;
@@ -40,47 +35,66 @@ PcaModel PcaModel::from_parts(Vector singular_values, Matrix components,
   return model;
 }
 
+PcaModel PcaModel::from_leading(std::size_t k, Vector singular_values,
+                                Matrix components, Vector column_means,
+                                std::uint64_t sample_count) {
+  SPCA_EXPECTS(k >= 1 && k <= singular_values.size() &&
+               singular_values.size() == components.cols());
+  if (k == singular_values.size()) {
+    return from_parts(std::move(singular_values), std::move(components),
+                      std::move(column_means), sample_count);
+  }
+  Vector values(k);
+  Matrix leading(components.rows(), k);
+  for (std::size_t j = 0; j < k; ++j) values[j] = singular_values[j];
+  for (std::size_t i = 0; i < components.rows(); ++i) {
+    for (std::size_t j = 0; j < k; ++j) leading(i, j) = components(i, j);
+  }
+  return from_parts(std::move(values), std::move(leading),
+                    std::move(column_means), sample_count);
+}
+
 PcaModel PcaModel::from_sketch(const Matrix& z_hat, Vector column_means,
                                std::uint64_t sample_count) {
   SPCA_EXPECTS(z_hat.cols() == column_means.size());
-  SPCA_EXPECTS(sample_count >= 2);
-  PcaModel model;
-  model.dims_ = z_hat.cols();
-  model.sample_count_ = sample_count;
-  model.means_ = std::move(column_means);
+  // The one-sided Jacobi SVD sorts the m - l rounding-noise columns of a
+  // wide sketch last; keep the min(l, m) that carry its spectrum.
   Svd f = svd(z_hat, /*want_left=*/false);
-  model.singular_values_ = std::move(f.values);
-  model.components_ = std::move(f.right);
-  return model;
+  return from_leading(std::min(z_hat.rows(), z_hat.cols()),
+                      std::move(f.values), std::move(f.right),
+                      std::move(column_means), sample_count);
 }
 
 void PcaModel::save_state(ByteWriter& out) const {
   SPCA_EXPECTS(fitted());
+  const std::size_t k = component_count();
   out.put(sample_count_);
   out.put_all(singular_values_.data());
-  std::vector<double> components(dims_ * dims_);
+  std::vector<double> components(dims_ * k);
   for (std::size_t i = 0; i < dims_; ++i) {
-    for (std::size_t j = 0; j < dims_; ++j) {
-      components[i * dims_ + j] = components_(i, j);
+    for (std::size_t j = 0; j < k; ++j) {
+      components[i * k + j] = components_(i, j);
     }
   }
   out.put_all(components);
   out.put_all(means_.data());
 }
 
-PcaModel PcaModel::restore_state(ByteReader& in, std::size_t m) {
+PcaModel PcaModel::restore_state(ByteReader& in, std::size_t m,
+                                 std::size_t k) {
+  SPCA_EXPECTS(k >= 1 && k <= m);
   const auto sample_count = in.get<std::uint64_t>();
   Vector singular_values(in.get_all<double>());
   const std::vector<double> components_flat = in.get_all<double>();
   Vector means(in.get_all<double>());
-  if (singular_values.size() != m || means.size() != m ||
-      components_flat.size() != m * m) {
+  if (singular_values.size() != k || means.size() != m ||
+      components_flat.size() != m * k) {
     throw ProtocolError("PcaModel: bad model shape in checkpoint");
   }
   if (sample_count < 2) {
     throw ProtocolError("PcaModel: sample count below 2 in checkpoint");
   }
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t j = 0; j < k; ++j) {
     if (!std::isfinite(singular_values[j]) || singular_values[j] < 0.0) {
       throw ProtocolError("PcaModel: invalid singular value in checkpoint");
     }
@@ -92,10 +106,10 @@ PcaModel PcaModel::restore_state(ByteReader& in, std::size_t m) {
       !std::all_of(components_flat.begin(), components_flat.end(), finite)) {
     throw ProtocolError("PcaModel: non-finite mean or component in checkpoint");
   }
-  Matrix components(m, m);
+  Matrix components(m, k);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      components(i, j) = components_flat[i * m + j];
+    for (std::size_t j = 0; j < k; ++j) {
+      components(i, j) = components_flat[i * k + j];
     }
   }
   return from_parts(std::move(singular_values), std::move(components),
@@ -103,7 +117,7 @@ PcaModel PcaModel::restore_state(ByteReader& in, std::size_t m) {
 }
 
 double PcaModel::component_std(std::size_t j) const {
-  SPCA_EXPECTS(fitted() && j < dims_);
+  SPCA_EXPECTS(fitted() && j < component_count());
   return singular_values_[j] /
          std::sqrt(static_cast<double>(sample_count_ - 1));
 }
@@ -116,7 +130,7 @@ Vector PcaModel::center(const Vector& x) const {
 }
 
 double PcaModel::anomaly_distance(const Vector& x, std::size_t r) const {
-  SPCA_EXPECTS(fitted() && x.size() == dims_ && r <= dims_);
+  SPCA_EXPECTS(fitted() && x.size() == dims_ && r <= component_count());
   const Vector y = center(x);
   double residual = norm_squared(y);
   for (std::size_t j = 0; j < r; ++j) {
@@ -130,7 +144,7 @@ double PcaModel::anomaly_distance(const Vector& x, std::size_t r) const {
 }
 
 PcaModel::Split PcaModel::split(const Vector& x, std::size_t r) const {
-  SPCA_EXPECTS(fitted() && x.size() == dims_ && r <= dims_);
+  SPCA_EXPECTS(fitted() && x.size() == dims_ && r <= component_count());
   const Vector y = center(x);
   Vector normal(dims_);
   for (std::size_t j = 0; j < r; ++j) {
@@ -193,7 +207,7 @@ std::size_t select_rank_by_ksigma(const Matrix& data, const PcaModel& model,
   SPCA_EXPECTS(k > 0.0);
   const std::size_t m = model.dimensions();
   const std::size_t n = data.rows();
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t j = 0; j < model.component_count(); ++j) {
     // Projection of every fitted row onto component j.
     Vector proj(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -219,7 +233,7 @@ std::size_t select_rank_by_ksigma(const Matrix& data, const PcaModel& model,
       }
     }
   }
-  return m;
+  return model.component_count();
 }
 
 }  // namespace spca

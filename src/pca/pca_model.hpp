@@ -3,10 +3,12 @@
 // paper's method (built from the l x m sketch matrix Z-hat).
 //
 // A model consists of the singular values (eta_j or lambda-hat_j), the
-// principal components (right singular vectors, an orthonormal basis of
+// principal components (right singular vectors, orthonormal columns in
 // R^m), the column means used to center new measurement vectors, and the
 // effective sample count n used to convert singular values into per-component
-// standard deviations (eq. 9).
+// standard deviations (eq. 9). A sketch model keeps k = min(l, m) components:
+// an l x m sketch has rank at most l, so the other m - l directions carry no
+// spectrum, only rounding noise.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +29,25 @@ class PcaModel final {
   [[nodiscard]] static PcaModel from_data(const Matrix& x);
 
   /// Reassembles a model from its parts (model backends, checkpoint
-  /// restore). `components` must be m x m with orthonormal columns matching
-  /// `singular_values`.
+  /// restore). `components` must be m x k (1 <= k <= m) with orthonormal
+  /// columns matching the k `singular_values`.
   [[nodiscard]] static PcaModel from_parts(Vector singular_values,
                                            Matrix components,
                                            Vector column_means,
                                            std::uint64_t sample_count);
 
+  /// from_parts of the leading k of the given singular values and component
+  /// columns (sorted descending), 1 <= k <= their count.
+  [[nodiscard]] static PcaModel from_leading(std::size_t k,
+                                             Vector singular_values,
+                                             Matrix components,
+                                             Vector column_means,
+                                             std::uint64_t sample_count);
+
   /// Fits from an l x m sketch matrix Z-hat (already centered by
   /// construction of eq. 17). `column_means` are the mu_all,j reported by
   /// the monitors and `sample_count` the window length n, needed by eq. (9)/
-  /// (23) to scale the spectrum.
+  /// (23) to scale the spectrum. Keeps the leading min(l, m) components.
   [[nodiscard]] static PcaModel from_sketch(const Matrix& z_hat,
                                             Vector column_means,
                                             std::uint64_t sample_count);
@@ -48,18 +58,30 @@ class PcaModel final {
     return sample_count_;
   }
 
-  /// Singular values in descending order (length m; for sketches with
-  /// l < m the trailing values are zero).
+  /// Number k of components kept: m for a model of full data, min(l, m)
+  /// for an l x m sketch. Ranks are at most k.
+  [[nodiscard]] std::size_t component_count() const noexcept {
+    return singular_values_.size();
+  }
+
+  /// Singular values in descending order (length k).
   [[nodiscard]] const Vector& singular_values() const noexcept {
     return singular_values_;
   }
 
-  /// Orthonormal principal components as columns of an m x m matrix.
+  /// Orthonormal principal components as the columns of an m x k matrix.
   [[nodiscard]] const Matrix& components() const noexcept {
     return components_;
   }
 
   [[nodiscard]] const Vector& column_means() const noexcept { return means_; }
+
+  /// Heap bytes of the spectrum, the m x k components and the means.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return (singular_values_.size() + means_.size() +
+            components_.rows() * components_.cols()) *
+           sizeof(double);
+  }
 
   /// Per-component standard deviation sigma_j = eta_j / sqrt(n-1) (eq. 9).
   [[nodiscard]] double component_std(std::size_t j) const;
@@ -82,14 +104,16 @@ class PcaModel final {
   [[nodiscard]] Split split(const Vector& x, std::size_t r) const;
 
   /// Checkpoint codec of a fitted model, shared by the SPCN and SPCA blobs:
-  /// u64 sample_count | f64[] singular_values
-  /// | f64[] components (row-major m*m) | f64[] means.
+  /// u64 sample_count | f64[] singular_values (k)
+  /// | f64[] components (row-major m*k) | f64[] means (m).
   void save_state(ByteWriter& out) const;
 
-  /// Reads what save_state wrote for an m-flow model. Throws ProtocolError
-  /// on a bad shape, sample_count < 2, a singular value that is negative or
-  /// not finite, or a mean or component that is not finite.
-  [[nodiscard]] static PcaModel restore_state(ByteReader& in, std::size_t m);
+  /// Reads what save_state wrote for an m-flow model of k components.
+  /// Throws ProtocolError on a bad shape, sample_count < 2, a singular value
+  /// that is negative or not finite, or a mean or component that is not
+  /// finite.
+  [[nodiscard]] static PcaModel restore_state(ByteReader& in, std::size_t m,
+                                              std::size_t k);
 
  private:
   std::size_t dims_ = 0;
@@ -117,7 +141,8 @@ class PcaModel final {
 /// projection of the fitted data onto each component in order; the first
 /// component whose projection contains an element more than `k` standard
 /// deviations from its mean starts the anomaly subspace. `data` is the
-/// matrix the model was fitted on (Y or Z-hat). Returns r in [0, m].
+/// matrix the model was fitted on (Y or Z-hat). Returns r in
+/// [0, model.component_count()].
 [[nodiscard]] std::size_t select_rank_by_ksigma(const Matrix& data,
                                                 const PcaModel& model,
                                                 double k = 3.0);

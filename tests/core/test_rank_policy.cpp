@@ -32,6 +32,24 @@ TEST(RankPolicy, FixedClampedToValidRange) {
   EXPECT_EQ(RankPolicy::fixed(99).select(model, Matrix{}), 5u);
 }
 
+TEST(RankPolicy, SketchModelRanksStopBelowTheSketchLength) {
+  // A 4 x 10 sketch keeps 4 components: every policy picks r <= 3.
+  Xoshiro256 gen(8);
+  Matrix z(4, 10);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 10; ++j) z(i, j) = standard_normal(gen);
+  }
+  const PcaModel model = PcaModel::from_sketch(z, Vector(10), 100);
+  ASSERT_EQ(model.component_count(), 4u);
+  EXPECT_EQ(RankPolicy::fixed(4).select(model, z), 3u);
+  EXPECT_EQ(RankPolicy::fixed(9).select(model, z), 3u);
+  EXPECT_EQ(RankPolicy::energy(1.0).select(model, z), 3u);
+  EXPECT_LE(RankPolicy::scree(0.001).select(model, z), 3u);
+  EXPECT_LE(RankPolicy::ksigma_policy(50.0).select(model, z), 3u);
+  EXPECT_EQ(RankPolicy::max_rank(4), 3u);
+  EXPECT_EQ(RankPolicy::max_rank(1), 1u);
+}
+
 TEST(RankPolicy, EnergyFindsDominantComponent) {
   // The shared factor dominates: 90% energy needs very few components.
   const PcaModel model = fitted_model(8, 3, nullptr);

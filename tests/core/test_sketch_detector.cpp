@@ -209,6 +209,32 @@ TEST(SketchDetector, MemoryBytesCountsFixedMembersAndMatchesGauge) {
   EXPECT_EQ(static_cast<std::size_t>(gauge), detector.memory_bytes());
 }
 
+TEST(SketchDetector, FixedRankAtOrAboveTheSketchLengthIsClamped) {
+  // l = 6 sketch rows for the small topology's m flows: a fixed rank >= l
+  // is clamped to l - 1, and the Q threshold is built from the residual
+  // spectrum the sketch really has.
+  const Topology topo = small_topology();
+  const TraceSet trace = small_trace(topo, 80, 12);
+  constexpr std::size_t kRows = 6;
+  ASSERT_GT(trace.num_flows(), kRows);
+  for (const std::size_t fixed : {kRows, kRows + 4}) {
+    SketchDetectorConfig config = small_config(64, kRows);
+    config.rank_policy = RankPolicy::fixed(fixed);
+    config.lazy = false;
+    SketchDetector detector(trace.num_flows(), config);
+    Detection det;
+    for (std::size_t t = 0; t < 80; ++t) {
+      det = detector.observe(static_cast<std::int64_t>(t), trace.row(t));
+    }
+    ASSERT_TRUE(det.ready);
+    EXPECT_EQ(det.normal_rank, kRows - 1) << "fixed rank " << fixed;
+    EXPECT_TRUE(std::isfinite(det.threshold)) << "fixed rank " << fixed;
+    EXPECT_GT(det.threshold, 0.0) << "fixed rank " << fixed;
+    EXPECT_EQ(detector.model().component_count(), kRows);
+    EXPECT_EQ(detector.distance_profile().size(), kRows - 1);
+  }
+}
+
 TEST(SketchDetector, ConfigValidation) {
   EXPECT_THROW(SketchDetector(1, small_config(16, 4)), ContractViolation);
   SketchDetectorConfig bad = small_config(16, 0);

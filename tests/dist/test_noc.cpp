@@ -8,6 +8,9 @@
 #include "common/error.hpp"
 #include "dist/local_monitor.hpp"
 #include "dist/sim_network.hpp"
+#include "obs/metrics.hpp"
+#include "rand/distributions.hpp"
+#include "rand/xoshiro256.hpp"
 
 namespace spca {
 namespace {
@@ -19,6 +22,88 @@ NocConfig small_noc_config(std::size_t l) {
   config.alpha = 0.01;
   config.rank_policy = RankPolicy::fixed(2);
   return config;
+}
+
+/// Runs a NOC hosting its own sketches (no monitors) over `intervals` of
+/// noisy traffic on `flows` flows and returns the last detection.
+Detection run_hosted(Noc& noc, std::size_t flows, std::int64_t intervals) {
+  SimNetwork net;
+  Xoshiro256 gen(5);
+  Detection det;
+  for (std::int64_t t = 0; t < intervals; ++t) {
+    Message report;
+    report.type = MessageType::kVolumeReport;
+    report.from = 1;
+    report.to = kNocId;
+    report.interval = t;
+    for (std::size_t j = 0; j < flows; ++j) {
+      report.ids.push_back(static_cast<std::uint32_t>(j));
+      report.values.push_back(1000.0 * static_cast<double>(j + 1) +
+                              25.0 * standard_normal(gen));
+    }
+    const Vector x = noc.assemble_volumes(t, {report});
+    if (t + 1 >= static_cast<std::int64_t>(noc.config().window)) {
+      det = noc.detect(t, x, {}, net, [] {});
+    }
+  }
+  return det;
+}
+
+TEST(Noc, FixedRankAtOrAboveTheSketchLengthIsClamped) {
+  // l = 3 sketch rows for m = 6 flows: the sketch matrix has rank at most
+  // 3, so a fixed rank >= l is clamped to l - 1 and the Q threshold comes
+  // from the real residual spectrum, not from rounding noise.
+  constexpr std::size_t kFlows = 6;
+  constexpr std::size_t kRows = 3;
+  for (const std::size_t fixed : {kRows, kRows + 2}) {
+    NocConfig config = small_noc_config(kRows);
+    config.host_sketches = true;
+    config.rank_policy = RankPolicy::fixed(fixed);
+    Noc noc(kFlows, config);
+    const Detection det = run_hosted(noc, kFlows, 24);
+    ASSERT_TRUE(det.ready);
+    EXPECT_EQ(det.normal_rank, kRows - 1) << "fixed rank " << fixed;
+    EXPECT_TRUE(std::isfinite(det.threshold)) << "fixed rank " << fixed;
+    EXPECT_GT(det.threshold, 0.0) << "fixed rank " << fixed;
+    ASSERT_TRUE(noc.model().has_value());
+    EXPECT_EQ(noc.model()->component_count(), kRows);
+  }
+}
+
+TEST(Noc, MemoryBytesCountsSketchStateModelAndBasisAndMatchesGauge) {
+  // At l < m the NOC holds m sketches of l values, an m x l model and an
+  // l x l warm basis: O(m l), with no m x m term.
+  constexpr std::size_t kFlows = 12;
+  constexpr std::size_t kRows = 4;
+  Noc noc(kFlows, small_noc_config(kRows));
+  const std::size_t empty = noc.memory_bytes();
+  EXPECT_GT(empty, sizeof(Noc));
+
+  Xoshiro256 gen(6);
+  Message response;
+  response.type = MessageType::kSketchResponse;
+  response.from = 1;
+  response.to = kNocId;
+  for (std::size_t j = 0; j < kFlows; ++j) {
+    response.ids.push_back(static_cast<std::uint32_t>(j));
+    response.values.push_back(100.0);  // mean
+    response.values.push_back(16.0);   // count
+    for (std::size_t k = 0; k < kRows; ++k) {
+      response.values.push_back(standard_normal(gen));
+    }
+  }
+  noc.ingest_sketch_response(response);
+  noc.refit();
+  ASSERT_EQ(noc.model()->component_count(), kRows);
+  EXPECT_EQ(noc.backend().memory_bytes(), kRows * kRows * sizeof(double));
+  const std::size_t sketch_bytes = kFlows * kRows * sizeof(double);
+  const std::size_t model_bytes =
+      (kRows + kFlows + kFlows * kRows) * sizeof(double);
+  EXPECT_EQ(noc.memory_bytes(), empty + sketch_bytes + model_bytes +
+                                    noc.backend().memory_bytes());
+  const double gauge =
+      MetricsRegistry::global().gauge("spca.noc.memory_bytes").value();
+  EXPECT_EQ(static_cast<std::size_t>(gauge), noc.memory_bytes());
 }
 
 TEST(Noc, CollectsVolumesFromMultipleMonitors) {

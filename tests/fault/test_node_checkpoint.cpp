@@ -101,6 +101,7 @@ constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
 /// Byte offsets inside the model section the SPCN and SPCA blobs share:
 /// PcaModel::save_state (u64 sample_count | f64[] singular_values
 /// | f64[] components | f64[] means), then u64 rank | f64 threshold_squared.
+/// A model of m flows keeps k = min(l, m) components.
 struct ModelOffsets {
   std::size_t sample_count;
   std::size_t first_singular_value;
@@ -111,24 +112,25 @@ struct ModelOffsets {
   std::size_t end;
 };
 
-ModelOffsets model_offsets(std::size_t sample_count, std::size_t m) {
-  // Three length-prefixed f64 arrays: m values, m*m components, m means.
+ModelOffsets model_offsets(std::size_t sample_count, std::size_t m,
+                           std::size_t k) {
+  // Three length-prefixed f64 arrays: k values, m*k components, m means.
   const std::size_t first_singular_value = sample_count + 16;
-  const std::size_t first_component = first_singular_value + 8 * m + 8;
-  const std::size_t first_mean = first_component + 8 * m * m + 8;
+  const std::size_t first_component = first_singular_value + 8 * k + 8;
+  const std::size_t first_mean = first_component + 8 * m * k + 8;
   const std::size_t rank = first_mean + 8 * m;
   return {sample_count, first_singular_value, first_component, first_mean,
           rank,         rank + 8,             rank + 16};
 }
 
 /// Size of the warm backend's state once it holds a basis: u8 flag
-/// | f64[] basis (row-major m*m).
-std::size_t warm_state_bytes(std::size_t m) { return 1 + 8 + 8 * m * m; }
+/// | f64[] basis (row-major k*k).
+std::size_t warm_state_bytes(std::size_t k) { return 1 + 8 + 8 * k * k; }
 
 /// Expects every model-section poke a checkpoint decoder must refuse.
 template <typename Restore>
 void expect_model_pokes_rejected(const std::vector<std::byte>& blob,
-                                 const ModelOffsets& at, std::size_t m,
+                                 const ModelOffsets& at, std::size_t k,
                                  const Restore& restore) {
   for (const std::uint64_t n : {0, 1}) {
     EXPECT_THROW((void)restore(poked(blob, at.sample_count, n)),
@@ -152,10 +154,11 @@ void expect_model_pokes_rejected(const std::vector<std::byte>& blob,
                  ProtocolError)
         << "component " << v;
   }
-  // Rank m leaves no residual subspace (the node never alarms), rank 0 is
-  // never selected, and anything above m breaks the next detect.
-  for (const std::uint64_t r : {std::uint64_t{0}, std::uint64_t{m},
-                                std::uint64_t{m + 5}}) {
+  // Rank k = min(l, m) leaves a residual subspace of rounding noise at
+  // best (none at all when l >= m), rank 0 is never selected, and anything
+  // above k breaks the next detect.
+  for (const std::uint64_t r : {std::uint64_t{0}, std::uint64_t{k},
+                                std::uint64_t{k + 5}}) {
     EXPECT_THROW((void)restore(poked(blob, at.rank, r)), ProtocolError)
         << "rank " << r;
   }
@@ -165,10 +168,10 @@ void expect_model_pokes_rejected(const std::vector<std::byte>& blob,
 /// a basis length that does not fit the blob, and a non-finite entry.
 template <typename Restore>
 void expect_warm_pokes_rejected(const std::vector<std::byte>& blob,
-                                std::size_t at, std::size_t m,
+                                std::size_t at, std::size_t k,
                                 const Restore& restore) {
   ASSERT_EQ(peek<std::uint8_t>(blob, at), 1u);
-  ASSERT_EQ(peek<std::uint64_t>(blob, at + 1), m * m);
+  ASSERT_EQ(peek<std::uint64_t>(blob, at + 1), k * k);
   EXPECT_THROW((void)restore(poked(blob, at + 1, kHugeCount)), ProtocolError);
   for (const double v : {kNaN, kInf}) {
     EXPECT_THROW((void)restore(poked(blob, at + 9, v)), ProtocolError)
@@ -511,14 +514,15 @@ TEST(NodeCheckpoint, NocBlobCorruptionIsRejectedCleanly) {
         << "length " << len;
   }
 
-  // Version 2 (four backends and their tuning knobs) and version 1 blobs
-  // are no longer readable.
-  for (const std::uint32_t version : {1, 2}) {
+  // Version 3 (m components and an m x m warm basis whatever l), version 2
+  // (four backends and their tuning knobs) and version 1 blobs are no
+  // longer readable.
+  for (const std::uint32_t version : {1, 2, 3}) {
     EXPECT_THROW((void)restore(poked(blob, 4, version)), ProtocolError)
         << "version " << version;
   }
 
-  // Field pokes (offsets from the SPCN v3 layout in noc_io.cpp): each value
+  // Field pokes (offsets from the SPCN v4 layout in noc_io.cpp): each value
   // would otherwise escape as ContractViolation or an allocation failure,
   // or restore a NOC that never alarms again.
   constexpr std::size_t kWindow = 8, kSketchRows = 16, kAlpha = 24,
@@ -556,9 +560,13 @@ TEST(NodeCheckpoint, NocBlobCorruptionIsRejectedCleanly) {
         << "m " << flows;
   }
 
-  // The warm state ends the blob, and the model section precedes it.
-  const std::size_t warm_at = blob.size() - warm_state_bytes(m);
-  const ModelOffsets at = model_offsets(warm_at - model_offsets(0, m).end, m);
+  // The warm state ends the blob, and the model section precedes it. The
+  // sketch is wider than long (l < m), so both keep k = l components.
+  const std::size_t k = scenario.detector.sketch_rows;
+  ASSERT_LT(k, m);
+  const std::size_t warm_at = blob.size() - warm_state_bytes(k);
+  const ModelOffsets at =
+      model_offsets(warm_at - model_offsets(0, m, k).end, m, k);
   ASSERT_EQ(at.end, warm_at);
   ASSERT_EQ(peek<std::uint64_t>(blob, at.sample_count),
             noc.model()->sample_count());
@@ -566,8 +574,8 @@ TEST(NodeCheckpoint, NocBlobCorruptionIsRejectedCleanly) {
             noc.model()->singular_values()[0]);
   ASSERT_EQ(peek<double>(blob, at.first_mean),
             noc.model()->column_means()[0]);
-  expect_model_pokes_rejected(blob, at, m, restore);
-  expect_warm_pokes_rejected(blob, warm_at, m, restore);
+  expect_model_pokes_rejected(blob, at, k, restore);
+  expect_warm_pokes_rejected(blob, warm_at, k, restore);
 }
 
 TEST(NodeCheckpoint, DetectorBlobCorruptionIsRejectedCleanly) {
@@ -596,12 +604,12 @@ TEST(NodeCheckpoint, DetectorBlobCorruptionIsRejectedCleanly) {
         blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW((void)restore(truncated), ProtocolError) << "length " << len;
   }
-  for (const std::uint32_t version : {1, 2}) {
+  for (const std::uint32_t version : {1, 2, 3}) {
     EXPECT_THROW((void)restore(poked(blob, 4, version)), ProtocolError)
         << "version " << version;
   }
 
-  // Offsets from the SPCA v3 layout in sketch_detector_io.cpp.
+  // Offsets from the SPCA v4 layout in sketch_detector_io.cpp.
   constexpr std::size_t kWindow = 8, kEpsilon = 16, kSketchRows = 24,
                         kAlpha = 32, kRankKind = 40, kEnergy = 49,
                         kProjection = 73, kSparsity = 74, kBackend = 91,
@@ -639,15 +647,17 @@ TEST(NodeCheckpoint, DetectorBlobCorruptionIsRejectedCleanly) {
         << "m " << flows;
   }
 
-  const ModelOffsets at = model_offsets(kSampleCount, m);
+  const std::size_t k = config.sketch_rows;
+  ASSERT_LT(k, m);
+  const ModelOffsets at = model_offsets(kSampleCount, m, k);
   ASSERT_EQ(peek<std::uint64_t>(blob, at.sample_count),
             detector.model().sample_count());
   ASSERT_EQ(peek<std::uint64_t>(blob, at.rank), detector.normal_rank());
-  expect_model_pokes_rejected(blob, at, m, restore);
-  expect_warm_pokes_rejected(blob, at.end, m, restore);
+  expect_model_pokes_rejected(blob, at, k, restore);
+  expect_warm_pokes_rejected(blob, at.end, k, restore);
 
   // The flow sketches follow the warm state: i64 now | u64 bucket_count.
-  const std::size_t first_sketch = at.end + warm_state_bytes(m);
+  const std::size_t first_sketch = at.end + warm_state_bytes(k);
   ASSERT_EQ(peek<std::int64_t>(blob, first_sketch),
             static_cast<std::int64_t>(config.window) - 1);
   EXPECT_THROW((void)restore(poked(blob, first_sketch + 8, kHugeCount)),

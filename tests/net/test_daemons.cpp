@@ -1,7 +1,8 @@
 // Loopback end-to-end of the daemon pair: a NocDaemon and its MonitorDaemons
 // running as real TcpTransport endpoints on 127.0.0.1 must reproduce the
 // SimNetwork reference trajectory bit for bit, survive a monitor kill and
-// restart mid-run, and tolerate monitors dialing before the NOC listens.
+// restart mid-run, tolerate monitors dialing before the NOC listens, and
+// re-send a report whose send failed.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +11,7 @@
 #include <exception>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,6 +372,102 @@ TEST(Daemons, MonitorsStartedBeforeTheNocBackOffAndConnect) {
     if (error) std::rethrow_exception(error);
   }
   expect_matches_reference(run, reference);
+}
+
+/// A monitor's message path whose first send of its volume report for
+/// `interval` fails the way a TcpTransport send fails when the NOC went
+/// away under it (a restart racing the transport's one redial): nothing
+/// is delivered and TransportError is thrown.
+class ReportSendFailsOnce final : public Transport {
+ public:
+  ReportSendFailsOnce(Transport& inner, std::int64_t interval)
+      : inner_(inner), interval_(interval) {}
+
+  void send(const Message& msg) override {
+    if (!failed_ && msg.type == MessageType::kVolumeReport &&
+        msg.interval == interval_) {
+      failed_ = true;
+      throw TransportError("send: Broken pipe");
+    }
+    inner_.send(msg);
+  }
+  std::vector<Message> drain(NodeId node) override {
+    return inner_.drain(node);
+  }
+  std::vector<Message> take(NodeId node, MessageType type) override {
+    return inner_.take(node, type);
+  }
+  bool has_mail(NodeId node) const override { return inner_.has_mail(node); }
+  bool wait_for_mail(NodeId node, std::chrono::milliseconds timeout) override {
+    return inner_.wait_for_mail(node, timeout);
+  }
+  const NetworkStats& stats() const noexcept override {
+    return inner_.stats();
+  }
+  void reset_stats() noexcept override { inner_.reset_stats(); }
+
+ private:
+  Transport& inner_;
+  std::int64_t interval_;
+  bool failed_ = false;
+};
+
+TEST(Daemons, MonitorResendsAReportWhoseSendFailed) {
+  // A report send that throws (the NOC restarting between advance(t - 1)
+  // and the report for t) must not end the monitor: the monitor re-sends
+  // the report, with its score report under fusion, and the run matches
+  // the reference. Looped over warm-up, pull and final intervals.
+  for (const std::string fusion : {"off", "any"}) {
+    NetScenarioConfig config = small_scenario();
+    config.intervals = 24;
+    config.fusion = fusion;
+    const NetScenario scenario = build_scenario(config);
+    const ScenarioRun reference = run_scenario_reference(scenario);
+    const auto window = static_cast<std::int64_t>(config.window);
+    for (const std::int64_t fail_at : {std::int64_t{1}, window - 1,
+                                       window + 3, std::int64_t{23}}) {
+      SCOPED_TRACE("fusion " + fusion + ", failed send at interval " +
+                   std::to_string(fail_at));
+      NocDaemonConfig noc_config;
+      noc_config.scenario = config;
+      noc_config.listen_port = 0;
+      noc_config.interval_deadline = 5000ms;
+      NocDaemon noc(noc_config);
+      noc.start();
+
+      std::vector<std::thread> threads;
+      std::vector<MonitorDaemonResult> results(config.monitors);
+      std::vector<std::exception_ptr> errors(config.monitors);
+      for (std::size_t k = 0; k < config.monitors; ++k) {
+        MonitorDaemonConfig mc = monitor_config(
+            config, static_cast<NodeId>(k + 1), noc.bound_port());
+        mc.io_timeout = 5000ms;
+        if (k == 0) {
+          mc.wrap_transport = [fail_at](Transport& inner) {
+            return std::make_unique<ReportSendFailsOnce>(inner, fail_at);
+          };
+        }
+        threads.emplace_back(run_monitor, std::move(mc),
+                             std::ref(results[k]), std::ref(errors[k]));
+      }
+      std::exception_ptr noc_error;
+      ScenarioRun run;
+      try {
+        run = noc.run();
+      } catch (...) {
+        noc_error = std::current_exception();
+      }
+      for (auto& t : threads) t.join();
+      for (auto& error : errors) {
+        if (error) std::rethrow_exception(error);
+      }
+      if (noc_error) std::rethrow_exception(noc_error);
+      expect_matches_reference(run, reference);
+      EXPECT_EQ(run.fused_alarm_intervals, reference.fused_alarm_intervals);
+      EXPECT_EQ(results[0].intervals_reported,
+                static_cast<std::int64_t>(config.intervals));
+    }
+  }
 }
 
 }  // namespace

@@ -273,12 +273,21 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
   // rendering only" contract must hold under real contention.
   MetricsRegistry registry;
   std::atomic<bool> stop{false};
+  // The writers start once the reader has rendered: on a loaded host the
+  // reader thread could otherwise first run after every writer finished.
+  std::atomic<bool> reading{false};
+  (void)registry.counter("stress.count");
+  (void)registry.gauge("stress.level");
+  (void)registry.histogram("stress.seconds");
   constexpr int kWriters = 4;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry, w] {
+    writers.emplace_back([&registry, &reading, w] {
+      while (!reading.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       Counter& c = registry.counter("stress.count");
       Gauge& g = registry.gauge("stress.level");
       Histogram& h = registry.histogram("stress.seconds");
@@ -293,7 +302,7 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
       }
     });
   }
-  std::thread reader([&registry, &stop] {
+  std::thread reader([&registry, &stop, &reading] {
     std::size_t renders = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::string json = registry.render_json();
@@ -303,6 +312,7 @@ TEST(MetricsRegistry, ConcurrentWritersAndRenderingReaderAreRaceFree) {
       EXPECT_FALSE(prom.empty());
       EXPECT_FALSE(text.empty());
       ++renders;
+      reading.store(true, std::memory_order_release);
     }
     EXPECT_GT(renders, 0u);
   });

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 #include "linalg/stats.hpp"
 #include "pca/backend/model_backend.hpp"
 #include "rand/distributions.hpp"
@@ -131,7 +133,7 @@ TEST(PcaModel, FromCovarianceMatchesFromData) {
   const Matrix x = low_rank_data(250, 0.8, 10);
   const PcaModel direct = PcaModel::from_data(x);
   const PcaModel via_cov =
-      make_model_backend(ModelBackendKind::kExact, x.cols())
+      make_model_backend(ModelBackendKind::kExact, x.cols(), x.cols())
           ->fit_gram(centered_gram(x), column_means(x), x.rows());
   for (std::size_t j = 0; j < 5; ++j) {
     EXPECT_NEAR(direct.singular_values()[j], via_cov.singular_values()[j],
@@ -163,6 +165,39 @@ TEST(PcaModel, FromSketchScalesSpectrumWithGivenN) {
   const PcaModel model = PcaModel::from_sketch(z, Vector(3), 50);
   EXPECT_EQ(model.sample_count(), 50u);
   EXPECT_NEAR(model.component_std(0), 2.0 / std::sqrt(49.0), 1e-12);
+}
+
+TEST(PcaModel, WideSketchKeepsOneComponentPerRow) {
+  // An l x m sketch with l < m has rank at most l: the model keeps l
+  // components, ranks stop at l, and the checkpoint holds m x l of them.
+  Matrix z(3, 5);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      z(i, j) = std::sin(static_cast<double>(7 * i + 3 * j + 1));
+    }
+  }
+  const PcaModel model = PcaModel::from_sketch(z, Vector(5), 50);
+  ASSERT_EQ(model.component_count(), 3u);
+  EXPECT_EQ(model.components().rows(), 5u);
+  EXPECT_EQ(model.components().cols(), 3u);
+  const Vector x{1.0, -2.0, 0.5, 3.0, 0.0};
+  EXPECT_GE(model.anomaly_distance(x, 3), 0.0);
+  EXPECT_THROW((void)model.anomaly_distance(x, 4), ContractViolation);
+
+  ByteWriter writer;
+  model.save_state(writer);
+  const std::vector<std::byte> blob = std::move(writer).take();
+  ByteReader reader(blob);
+  const PcaModel restored = PcaModel::restore_state(reader, 5, 3);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(max_abs_diff(restored.components(), model.components()), 0.0);
+  EXPECT_EQ(restored.anomaly_distance(x, 2), model.anomaly_distance(x, 2));
+  // A decoder expecting another component count refuses the blob.
+  for (const std::size_t k : {2, 4, 5}) {
+    ByteReader other(blob);
+    EXPECT_THROW((void)PcaModel::restore_state(other, 5, k), ProtocolError)
+        << "k " << k;
+  }
 }
 
 TEST(SelectRankByEnergy, PicksSmallestSufficientRank) {
