@@ -8,20 +8,14 @@
 // Prints the per-phase communication budget and shows the lazy protocol
 // pulling sketches only when suspicion arises.
 //
-// --transport=tcp swaps the simulated network for a loopback-TCP bus: the
-// same deployment, but every message crosses a real kernel socket with wire
-// framing. The trajectory and byte counts are identical by construction.
-// For a true multi-process run, see apps/spca_nocd and apps/spca_monitord.
+// For the same deployment over real TCP sockets, see apps/spca_nocd and
+// apps/spca_monitord.
 #include <iostream>
 
-#include <memory>
-
 #include "common/cli.hpp"
-#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/spca.hpp"
 #include "dist/distributed_detector.hpp"
-#include "net/tcp_bus.hpp"
 #include "obs/report.hpp"
 #include "par/thread_pool.hpp"
 #include "synth/packet_synthesizer.hpp"
@@ -38,9 +32,6 @@ int main(int argc, char** argv) {
   flags.define("packet-intervals", "3",
                "intervals driven by an explicit packet stream");
   flags.define("seed", "99", "scenario seed");
-  flags.define("transport", "sim",
-               "message carrier: sim (in-process queues) or tcp (loopback "
-               "sockets with real framing)");
   flags.define("model-backend", "warm",
                "NOC model backend: exact | warm");
   define_threads_flag(flags);
@@ -71,23 +62,9 @@ int main(int argc, char** argv) {
     config.rank_policy = RankPolicy::fixed(6);
     config.seed = seed ^ 0xd15cULL;
     config.backend = parse_model_backend(flags.str("model-backend"));
-    const auto num_monitors =
-        static_cast<std::size_t>(flags.integer("monitors"));
-    const std::string transport_kind = flags.str("transport");
-    std::unique_ptr<TcpBus> bus;
-    if (transport_kind == "tcp") {
-      std::vector<NodeId> nodes{kNocId};
-      for (std::size_t k = 1; k <= num_monitors; ++k) {
-        nodes.push_back(static_cast<NodeId>(k));
-      }
-      bus = std::make_unique<TcpBus>(nodes);
-      std::cout << "transport: loopback TCP (every message crosses a real "
-                   "kernel socket)\n";
-    } else if (transport_kind != "sim") {
-      throw InputError("--transport must be sim or tcp");
-    }
-    DistributedDetector deployment(trace.num_flows(), num_monitors, config,
-                                   /*noc_hosted_sketches=*/false, bus.get());
+    DistributedDetector deployment(
+        trace.num_flows(), static_cast<std::size_t>(flags.integer("monitors")),
+        config);
 
     // Demonstrate the packet-level path: expand the first few intervals
     // into packets and verify the NOC assembles the same volumes.

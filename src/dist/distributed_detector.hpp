@@ -29,9 +29,9 @@ class DistributedDetector final : public Detector {
   /// monitors run only the Volume Counter, the NOC maintains every flow's
   /// histogram itself, and no sketch-pull messages are ever sent.
   ///
-  /// `transport` overrides the message carrier (e.g. a loopback TcpBus);
-  /// nullptr uses the built-in SimNetwork. The caller keeps ownership and
-  /// must outlive the detector.
+  /// `transport` overrides the message carrier (e.g. a FaultyTransport
+  /// over a SimNetwork); nullptr uses the built-in SimNetwork. The caller
+  /// keeps ownership and must outlive the detector.
   DistributedDetector(std::size_t dimensions, std::size_t num_monitors,
                       const SketchDetectorConfig& config,
                       bool noc_hosted_sketches = false,

@@ -19,7 +19,7 @@
 //               the flush-on-any-receive rule keeps the lock-step protocol
 //               free of holds it could deadlock on
 //
-// Composes over any Transport (SimNetwork, TcpBus, TcpTransport) unchanged.
+// Composes over any Transport (SimNetwork, TcpTransport) unchanged.
 // Kill and reset events need daemon cooperation and are driven by the chaos
 // harness (fault/chaos.hpp), not by this decorator.
 #pragma once

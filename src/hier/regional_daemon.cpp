@@ -144,6 +144,13 @@ std::uint16_t RegionalDaemon::bound_port() const noexcept {
 RegionalDaemonResult RegionalDaemon::run() {
   SPCA_EXPECTS(started_);
   SPCA_EXPECTS(config_.checkpoint_every >= 0);
+  // However the loop ends, refuse new dials at once rather than when the
+  // daemon is destroyed: a monitor redialling across a region restart must
+  // reach the next incarnation, not this one.
+  struct StopAcceptingOnExit {
+    TcpTransport& transport;
+    ~StopAcceptingOnExit() { transport.stop_accepting(); }
+  } const stop_accepting_on_exit{transport_};
   const std::vector<NodeId> shard = region_monitor_ids(
       config_.scenario.monitors, config_.regions, config_.region);
   RegionalNoc region(config_.region, shard, config_.scenario.sketch_rows);

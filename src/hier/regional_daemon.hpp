@@ -94,6 +94,8 @@ class RegionalDaemon final {
 
   /// Runs to completion (or until request_stop()); returns the summary.
   /// Throws TransportError when nothing makes progress past the deadline.
+  /// Once it returns or throws, dials to bound_port() are refused;
+  /// established connections stay up until destruction.
   RegionalDaemonResult run();
 
   /// Asks a running daemon to wind down at the next poll slice.

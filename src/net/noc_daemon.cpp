@@ -54,6 +54,13 @@ std::uint64_t NocDaemon::reconnects() const noexcept {
 ScenarioRun NocDaemon::run() {
   SPCA_EXPECTS(started_);
   SPCA_EXPECTS(config_.checkpoint_every >= 0);
+  // However the loop ends, refuse new dials at once rather than when the
+  // daemon is destroyed: a monitor redialling across a NOC restart must
+  // reach the next incarnation, not this one.
+  struct StopAcceptingOnExit {
+    TcpTransport& transport;
+    ~StopAcceptingOnExit() { transport.stop_accepting(); }
+  } const stop_accepting_on_exit{transport_};
   const NetScenario scenario = build_scenario(config_.scenario);
   const std::size_t num_monitors = config_.scenario.monitors;
   const std::vector<NodeId> monitor_ids = scenario_monitor_ids(num_monitors);

@@ -77,7 +77,8 @@ class NocDaemon final {
   /// returns the trajectory. When resuming from a checkpoint, the returned
   /// distances/alarms cover only the intervals this incarnation processed.
   /// Throws TransportError if a monitor stays away longer than the interval
-  /// deadline.
+  /// deadline. Once it returns or throws, dials to bound_port() are refused;
+  /// established connections stay up until destruction.
   ScenarioRun run();
 
   /// Asks a running daemon to wind down at the next poll slice.

@@ -134,6 +134,19 @@ void TcpTransport::stop() {
   listener_.reset();
 }
 
+void TcpTransport::stop_accepting() noexcept {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Never listened, or stop() is closing everything anyway.
+  if (!listener_ || stopping_) return;
+  close_listener_ = true;
+  lock.unlock();
+  wake_io_thread();
+  lock.lock();
+  conn_cv_.wait(lock, [this] {
+    return stopping_ || listener_->native_handle() < 0;
+  });
+}
+
 void TcpTransport::wake_io_thread() {
   if (wake_tx_ < 0) return;
   const std::byte one{1};
@@ -297,8 +310,7 @@ void TcpTransport::io_loop() {
   std::map<int, std::shared_ptr<Conn>> by_fd;
   std::map<int, PendingHello> pending;
   std::vector<PollerEvent> events;
-  const int listen_fd =
-      listener_ ? listener_->native_handle() : -1;
+  int listen_fd = listener_ ? listener_->native_handle() : -1;
   if (listen_fd >= 0) poller.add(listen_fd);
   poller.add(wake_rx_);
 
@@ -306,6 +318,12 @@ void TcpTransport::io_loop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) break;
+      if (close_listener_ && listen_fd >= 0) {
+        poller.remove(listen_fd);
+        listener_->close();
+        listen_fd = -1;
+        conn_cv_.notify_all();
+      }
     }
     adopt_pending_conns(poller, by_fd);
     watched_.store(by_fd.size() + pending.size(), std::memory_order_relaxed);

@@ -85,6 +85,11 @@ class TcpTransport final : public Transport {
   /// Closes all connections and joins the I/O threads; idempotent.
   void stop();
 
+  /// Closes the listener, so dials to this endpoint are refused, while the
+  /// established connections stay up; idempotent. Returns once the event
+  /// loop has let go of the listening socket.
+  void stop_accepting() noexcept;
+
   /// The bound listen port (after start(); resolves an ephemeral port 0).
   [[nodiscard]] std::uint16_t listen_port() const noexcept;
 
@@ -166,7 +171,9 @@ class TcpTransport final : public Transport {
   TcpTransportConfig config_;
   NetworkStats stats_;
 
-  mutable std::mutex mutex_;  // guards conns_, inbox_, control_, stopping_
+  // Guards conns_, inbox_, control_, stopping_, close_listener_ and the
+  // listener's descriptor.
+  mutable std::mutex mutex_;
   std::condition_variable inbox_cv_;
   std::condition_variable conn_cv_;
   std::map<NodeId, std::shared_ptr<Conn>> conns_;
@@ -177,6 +184,7 @@ class TcpTransport final : public Transport {
   std::deque<Message> inbox_;
   std::deque<ControlFrame> control_;
   bool stopping_ = false;
+  bool close_listener_ = false;
   bool started_ = false;
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::size_t> watched_{0};

@@ -2,11 +2,11 @@
 // carry serialized `Message`s between nodes and account for the bytes.
 //
 // Two implementations exist: the in-process `SimNetwork` (dist/) used by the
-// simulation benches, and the POSIX-socket `TcpTransport`/`TcpBus` (net/)
-// that push the same bytes through real TCP connections. The protocol actors
-// (LocalMonitor, Noc, DistributedDetector) only ever see this interface, so
-// the detection trajectories are transport-independent by construction — an
-// invariant the parity tests assert bit-for-bit.
+// simulation benches, and the POSIX-socket `TcpTransport` (net/) through
+// which the daemons push the same bytes over real TCP connections. The
+// protocol actors (LocalMonitor, Noc, DistributedDetector) only ever see
+// this interface, so the detection trajectories are transport-independent
+// by construction — an invariant the parity tests assert bit-for-bit.
 //
 // This header is deliberately header-only: dist/ implements the interface
 // and net/ links against dist/ for the message codec, so any out-of-line

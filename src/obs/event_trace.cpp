@@ -1,235 +1,42 @@
 #include "obs/event_trace.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <iomanip>
-#include <limits>
-#include <sstream>
-
-#include "common/contracts.hpp"
-#include "common/error.hpp"
+#include "obs/jsonl.hpp"
 
 namespace spca {
 
 namespace {
 
-void append_number(std::ostringstream& oss, double value) {
-  oss << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << value;
+[[nodiscard]] DetectionEvent parse_event(std::string_view line) {
+  DetectionEvent event;
+  (void)read_json_line(line, "EventTrace",
+                       {{"detector", &event.detector},
+                        {"interval", &event.interval},
+                        {"distance2", &event.distance_squared},
+                        {"threshold2", &event.threshold_squared},
+                        {"rank", &event.rank},
+                        {"refreshed", &event.refreshed},
+                        {"alarm", &event.alarm}});
+  return event;
 }
-
-/// Single-line parser for the flat objects `to_json` emits: string, number,
-/// and boolean values only, no nesting, no escape sequences beyond \" and
-/// \\ in strings.
-class LineParser final {
- public:
-  explicit LineParser(const std::string& line) : line_(line) {}
-
-  [[nodiscard]] DetectionEvent parse() {
-    DetectionEvent event;
-    skip_ws();
-    expect('{');
-    for (;;) {
-      skip_ws();
-      if (peek() == '}') break;
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      apply(event, key);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != line_.size()) {
-      throw InputError("EventTrace: trailing characters in JSON line");
-    }
-    return event;
-  }
-
- private:
-  [[nodiscard]] char peek() const {
-    if (pos_ >= line_.size()) {
-      throw InputError("EventTrace: truncated JSON line");
-    }
-    return line_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw InputError(std::string("EventTrace: expected '") + c +
-                       "' in JSON line");
-    }
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < line_.size() &&
-           std::isspace(static_cast<unsigned char>(line_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') break;
-      if (c == '\\') {
-        out.push_back(peek());
-        ++pos_;
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < line_.size() &&
-           (std::isdigit(static_cast<unsigned char>(line_[pos_])) != 0 ||
-            line_[pos_] == '-' || line_[pos_] == '+' || line_[pos_] == '.' ||
-            line_[pos_] == 'e' || line_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      throw InputError("EventTrace: expected a number in JSON line");
-    }
-    double value = 0.0;
-    const char* begin = line_.data() + start;
-    const char* end = line_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr != end) {
-      throw InputError("EventTrace: malformed number in JSON line");
-    }
-    return value;
-  }
-
-  [[nodiscard]] bool parse_bool() {
-    if (line_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (line_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw InputError("EventTrace: expected a boolean in JSON line");
-  }
-
-  void apply(DetectionEvent& event, const std::string& key) {
-    if (key == "detector") {
-      event.detector = parse_string();
-    } else if (key == "interval") {
-      event.interval = static_cast<std::int64_t>(parse_number());
-    } else if (key == "distance2") {
-      event.distance_squared = parse_number();
-    } else if (key == "threshold2") {
-      event.threshold_squared = parse_number();
-    } else if (key == "rank") {
-      event.rank = static_cast<std::size_t>(parse_number());
-    } else if (key == "refreshed") {
-      event.refreshed = parse_bool();
-    } else if (key == "alarm") {
-      event.alarm = parse_bool();
-    } else {
-      throw InputError("EventTrace: unknown key '" + key + "' in JSON line");
-    }
-  }
-
-  const std::string& line_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string to_json(const DetectionEvent& event) {
-  std::ostringstream oss;
-  oss << "{\"detector\":\"";
-  for (const char c : event.detector) {
-    if (c == '"' || c == '\\') oss << '\\';
-    oss << c;
-  }
-  oss << "\",\"interval\":" << event.interval << ",\"distance2\":";
-  append_number(oss, event.distance_squared);
-  oss << ",\"threshold2\":";
-  append_number(oss, event.threshold_squared);
-  oss << ",\"rank\":" << event.rank
-      << ",\"refreshed\":" << (event.refreshed ? "true" : "false")
-      << ",\"alarm\":" << (event.alarm ? "true" : "false") << '}';
-  return oss.str();
+  return JsonLineWriter()
+      .string("detector", event.detector)
+      .integer("interval", event.interval)
+      .number("distance2", event.distance_squared)
+      .number("threshold2", event.threshold_squared)
+      .integer("rank", event.rank)
+      .boolean("refreshed", event.refreshed)
+      .boolean("alarm", event.alarm)
+      .finish();
 }
 
-EventTrace::EventTrace(std::size_t capacity) : capacity_(capacity) {
-  SPCA_EXPECTS(capacity >= 1);
-  ring_.reserve(std::min<std::size_t>(capacity, 1024));
-}
-
-void EventTrace::record(DetectionEvent event) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[recorded_ % capacity_] = std::move(event);
-  }
-  ++recorded_;
-}
-
-std::vector<DetectionEvent> EventTrace::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<DetectionEvent> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    const std::size_t oldest = recorded_ % capacity_;
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(oldest + i) % capacity_]);
-    }
-  }
-  return out;
-}
-
-std::uint64_t EventTrace::recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_;
-}
-
-void EventTrace::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  recorded_ = 0;
-}
-
-std::string EventTrace::to_jsonl() const {
-  std::string out;
-  for (const DetectionEvent& event : snapshot()) {
-    out += to_json(event);
-    out += '\n';
-  }
-  return out;
-}
+std::string EventTrace::to_jsonl() const { return to_json_lines(snapshot()); }
 
 std::vector<DetectionEvent> EventTrace::parse_jsonl(const std::string& text) {
-  std::vector<DetectionEvent> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    out.push_back(LineParser(line).parse());
-  }
-  return out;
+  return parse_json_lines(text, parse_event);
 }
 
 EventTrace& EventTrace::global() {

@@ -5,9 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/bounded_ring.hpp"
 
 namespace spca {
 
@@ -31,24 +32,24 @@ struct DetectionEvent {
   [[nodiscard]] bool operator==(const DetectionEvent&) const = default;
 };
 
-/// Thread-safe bounded ring buffer of DetectionEvents. When full, the
-/// oldest event is overwritten; `recorded()` keeps the lifetime total so
+/// Thread-safe bounded ring (BoundedRing) of DetectionEvents. When full,
+/// the oldest event is overwritten; `recorded()` keeps the lifetime total so
 /// post-processors can tell how much was dropped.
 class EventTrace final {
  public:
-  explicit EventTrace(std::size_t capacity = 65536);
+  explicit EventTrace(std::size_t capacity = 65536) : ring_(capacity) {}
 
-  void record(DetectionEvent event);
+  void record(DetectionEvent event) { ring_.push(std::move(event)); }
 
   /// Buffered events, oldest first.
-  [[nodiscard]] std::vector<DetectionEvent> snapshot() const;
+  [[nodiscard]] std::vector<DetectionEvent> snapshot() const {
+    return ring_.snapshot().items;
+  }
 
   /// Total events ever recorded (>= snapshot().size()).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  void clear();
+  void clear() { ring_.clear(); }
 
   /// One JSON object per line, oldest first (the export format documented
   /// in README.md's Observability section).
@@ -63,10 +64,7 @@ class EventTrace final {
   [[nodiscard]] static EventTrace& global();
 
  private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::uint64_t recorded_ = 0;
-  std::vector<DetectionEvent> ring_;  // insertion position = recorded_ % cap
+  BoundedRing<DetectionEvent> ring_;
 };
 
 /// Serializes one event as a single JSON object (no trailing newline).

@@ -2,58 +2,18 @@
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
-#include "common/contracts.hpp"
 #include "common/log.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
 
 namespace spca {
 
 namespace {
-
-[[nodiscard]] double unix_now_seconds() {
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
-
-void append_escaped(std::ostringstream& oss, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        oss << "\\\"";
-        break;
-      case '\\':
-        oss << "\\\\";
-        break;
-      case '\n':
-        oss << "\\n";
-        break;
-      case '\r':
-        oss << "\\r";
-        break;
-      case '\t':
-        oss << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          oss << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(static_cast<unsigned char>(c)) << std::dec
-              << std::setfill(' ');
-        } else {
-          oss << c;
-        }
-    }
-  }
-}
 
 /// Dump reasons land in file names: keep [a-z0-9_-], map the rest to '_'.
 [[nodiscard]] std::string sanitize_reason(const std::string& reason) {
@@ -78,41 +38,34 @@ void append_escaped(std::ostringstream& oss, const std::string& s) {
 }  // namespace
 
 std::string to_json(const FlightEntry& entry) {
-  std::ostringstream oss;
-  oss << "{\"seq\":" << entry.seq << ",\"unix_s\":"
-      << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << entry.unix_seconds << ",\"kind\":\"";
-  append_escaped(oss, entry.kind);
-  oss << "\",\"label\":\"";
-  append_escaped(oss, entry.label);
-  oss << "\",\"interval\":" << entry.interval;
+  JsonLineWriter line;
+  line.integer("seq", entry.seq)
+      .number("unix_s", entry.unix_seconds)
+      .string("kind", entry.kind)
+      .string("label", entry.label)
+      .integer("interval", entry.interval);
   if (entry.kind == "metrics") {
     // The detail is itself the registry's JSON rendering; embed it as a
     // value so the dump stays one parseable object per line.
-    oss << ",\"metrics\":" << entry.detail;
+    line.raw("metrics", entry.detail);
   } else {
-    oss << ",\"detail\":\"";
-    append_escaped(oss, entry.detail);
-    oss << '"';
+    line.string("detail", entry.detail);
   }
-  oss << '}';
-  return oss.str();
+  return line.finish();
 }
 
 void FlightRecorder::configure(std::string dump_dir, std::size_t capacity) {
-  SPCA_EXPECTS(capacity >= 1);
+  ring_.reset(capacity);
   std::error_code ec;
   std::filesystem::create_directories(dump_dir, ec);
   if (ec) {
     log_warn("flight recorder: cannot create dump dir '", dump_dir,
              "': ", ec.message());
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  dump_dir_ = std::move(dump_dir);
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(std::min<std::size_t>(capacity, 1024));
-  recorded_ = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    dump_dir_ = std::move(dump_dir);
+  }
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -123,38 +76,21 @@ bool FlightRecorder::enabled() const {
 void FlightRecorder::note(std::string label, std::int64_t interval,
                           std::string detail) {
   if (!enabled()) return;
-  FlightEntry entry;
-  entry.unix_seconds = unix_now_seconds();
-  entry.kind = "event";
-  entry.label = std::move(label);
-  entry.interval = interval;
-  entry.detail = std::move(detail);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entry.seq = recorded_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(entry));
-  } else {
-    ring_[recorded_ % capacity_] = std::move(entry);
-  }
-  ++recorded_;
+  ring_.push({0, unix_now_seconds(), "event", std::move(label), interval,
+              std::move(detail)});
 }
 
 void FlightRecorder::capture_metrics(std::string label, std::int64_t interval) {
   if (!enabled()) return;
-  FlightEntry entry;
-  entry.unix_seconds = unix_now_seconds();
-  entry.kind = "metrics";
-  entry.label = std::move(label);
-  entry.interval = interval;
-  entry.detail = MetricsRegistry::global().render_json();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entry.seq = recorded_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(entry));
-  } else {
-    ring_[recorded_ % capacity_] = std::move(entry);
-  }
-  ++recorded_;
+  ring_.push({0, unix_now_seconds(), "metrics", std::move(label), interval,
+              MetricsRegistry::global().render_json()});
+}
+
+BoundedRing<FlightEntry>::Snapshot FlightRecorder::numbered_snapshot() const {
+  BoundedRing<FlightEntry>::Snapshot snap = ring_.snapshot();
+  std::uint64_t seq = snap.recorded - snap.items.size();
+  for (FlightEntry& entry : snap.items) entry.seq = seq++;
+  return snap;
 }
 
 std::string FlightRecorder::dump(const std::string& reason) noexcept {
@@ -162,23 +98,12 @@ std::string FlightRecorder::dump(const std::string& reason) noexcept {
     if (!enabled()) return std::string();
     std::string dir;
     std::uint64_t dump_index = 0;
-    std::vector<FlightEntry> entries;
-    std::uint64_t lifetime = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       dir = dump_dir_;
       dump_index = dumps_++;
-      lifetime = recorded_;
-      entries.reserve(ring_.size());
-      if (ring_.size() < capacity_) {
-        entries = ring_;
-      } else {
-        const std::size_t oldest = recorded_ % capacity_;
-        for (std::size_t i = 0; i < capacity_; ++i) {
-          entries.push_back(ring_[(oldest + i) % capacity_]);
-        }
-      }
     }
+    const BoundedRing<FlightEntry>::Snapshot snap = numbered_snapshot();
     const std::string path = dir + "/flight-" + utc_stamp() + "-" +
                              std::to_string(::getpid()) + "-" +
                              std::to_string(dump_index) + "-" +
@@ -188,26 +113,24 @@ std::string FlightRecorder::dump(const std::string& reason) noexcept {
       log_warn("flight recorder: cannot open '", path, "' for writing");
       return std::string();
     }
-    std::ostringstream header;
-    header << "{\"kind\":\"dump_header\",\"reason\":\"";
-    append_escaped(header, reason);
-    header << "\",\"unix_s\":"
-           << std::setprecision(std::numeric_limits<double>::max_digits10)
-           << unix_now_seconds() << ",\"pid\":" << ::getpid()
-           << ",\"entries\":" << entries.size()
-           << ",\"recorded\":" << lifetime << '}';
-    out << header.str() << '\n';
-    for (const FlightEntry& entry : entries) {
-      out << to_json(entry) << '\n';
-    }
+    out << JsonLineWriter()
+               .string("kind", "dump_header")
+               .string("reason", reason)
+               .number("unix_s", unix_now_seconds())
+               .integer("pid", ::getpid())
+               .integer("entries", snap.items.size())
+               .integer("recorded", snap.recorded)
+               .finish()
+        << '\n'
+        << to_json_lines(snap.items);
     out.flush();
     if (!out) {
       log_warn("flight recorder: failed writing '", path, "'");
       return std::string();
     }
     MetricsRegistry::global().counter("spca.flight.dumps").inc();
-    log_info("flight recorder: dumped ", entries.size(), " entries to ", path,
-             " (reason: ", reason, ")");
+    log_info("flight recorder: dumped ", snap.items.size(), " entries to ",
+             path, " (reason: ", reason, ")");
     return path;
   } catch (...) {
     return std::string();
@@ -226,30 +149,20 @@ std::string FlightRecorder::poll_dump_request() {
 }
 
 std::vector<FlightEntry> FlightRecorder::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) return ring_;
-  std::vector<FlightEntry> out;
-  out.reserve(capacity_);
-  const std::size_t oldest = recorded_ % capacity_;
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    out.push_back(ring_[(oldest + i) % capacity_]);
-  }
-  return out;
+  return numbered_snapshot().items;
 }
 
-std::uint64_t FlightRecorder::recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_;
-}
+std::uint64_t FlightRecorder::recorded() const { return ring_.recorded(); }
 
 void FlightRecorder::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   enabled_.store(false, std::memory_order_release);
   dump_requested_.store(false, std::memory_order_release);
-  dump_dir_.clear();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    dump_dir_.clear();
+    dumps_ = 0;
+  }
   ring_.clear();
-  recorded_ = 0;
-  dumps_ = 0;
 }
 
 FlightRecorder& FlightRecorder::global() {

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/bounded_ring.hpp"
+
 namespace spca {
 
 /// One ring entry: an event note or a metrics snapshot.
@@ -91,11 +93,15 @@ class FlightRecorder final {
   [[nodiscard]] static FlightRecorder& global();
 
  private:
-  mutable std::mutex mutex_;
+  /// One locked snapshot, each entry's `seq` set to its lifetime index.
+  [[nodiscard]] BoundedRing<FlightEntry>::Snapshot numbered_snapshot() const;
+
+  /// Entries are stored with seq 0; the ring's lifetime count numbers them.
+  /// configure() sizes the ring, so a recorder that is never enabled
+  /// reserves one slot, not 512.
+  BoundedRing<FlightEntry> ring_{1};
+  mutable std::mutex mutex_;  // guards dump_dir_ and dumps_
   std::string dump_dir_;
-  std::size_t capacity_ = 512;
-  std::vector<FlightEntry> ring_;  // insertion position = recorded_ % capacity_
-  std::uint64_t recorded_ = 0;
   std::uint64_t dumps_ = 0;
   std::atomic<bool> enabled_{false};
   std::atomic<bool> dump_requested_{false};

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <limits>
-#include <sstream>
+#include <utility>
 
+#include "obs/jsonl.hpp"
 #include "obs/metric_catalog.hpp"
 
 namespace spca {
@@ -31,58 +31,6 @@ void atomic_store_max(std::atomic<double>& target, double value) noexcept {
   }
 }
 
-void append_number(std::ostringstream& oss, double value) {
-  oss << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << value;
-}
-
-void append_json_string(std::ostringstream& oss, const std::string& s) {
-  oss << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        oss << "\\\"";
-        break;
-      case '\\':
-        oss << "\\\\";
-        break;
-      case '\n':
-        oss << "\\n";
-        break;
-      case '\r':
-        oss << "\\r";
-        break;
-      case '\t':
-        oss << "\\t";
-        break;
-      case '\b':
-        oss << "\\b";
-        break;
-      case '\f':
-        oss << "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          oss << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(static_cast<unsigned char>(c)) << std::dec
-              << std::setfill(' ');
-        } else {
-          oss << c;
-        }
-    }
-  }
-  oss << '"';
-}
-
-/// `null` for empty histograms: 0.0 would read as a real observation.
-void append_stat(std::ostringstream& oss, const Histogram& h, double value) {
-  if (h.count() == 0) {
-    oss << "null";
-  } else {
-    append_number(oss, value);
-  }
-}
-
 /// Prometheus metric names allow [a-zA-Z0-9_:] only; everything else
 /// (notably the '.' separators of spca.* names) maps to '_'.
 [[nodiscard]] std::string prometheus_name(const std::string& name) {
@@ -96,13 +44,13 @@ void append_stat(std::ostringstream& oss, const Histogram& h, double value) {
   return out;
 }
 
-void append_prometheus_header(std::ostringstream& oss, const std::string& name,
+void append_prometheus_header(std::string& out, const std::string& name,
                               const std::string& exposition_name,
                               const char* type) {
   if (const MetricInfo* info = find_metric(name); info != nullptr) {
-    oss << "# HELP " << exposition_name << ' ' << info->help << '\n';
+    out += "# HELP " + exposition_name + ' ' + info->help + '\n';
   }
-  oss << "# TYPE " << exposition_name << ' ' << type << '\n';
+  out += "# TYPE " + exposition_name + ' ' + type + '\n';
 }
 
 }  // namespace
@@ -199,99 +147,95 @@ void MetricsRegistry::reset() {
 
 std::string MetricsRegistry::render_text() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream oss;
+  std::string out;
   for (const auto& [name, c] : counters_) {
-    oss << name << " count=" << c->value() << '\n';
+    out += name + " count=" + std::to_string(c->value()) + '\n';
   }
   for (const auto& [name, g] : gauges_) {
-    oss << name << " value=";
-    append_number(oss, g->value());
-    oss << '\n';
+    out += name + " value=";
+    append_json_number(out, g->value());
+    out += '\n';
   }
   for (const auto& [name, h] : histograms_) {
-    oss << name << " count=" << h->count() << " sum=";
-    append_number(oss, h->sum());
-    oss << " min=";
-    append_number(oss, h->min());
-    oss << " p50=";
-    append_number(oss, h->quantile(0.50));
-    oss << " p95=";
-    append_number(oss, h->quantile(0.95));
-    oss << " p99=";
-    append_number(oss, h->quantile(0.99));
-    oss << " max=";
-    append_number(oss, h->max());
-    oss << '\n';
+    out += name + " count=" + std::to_string(h->count());
+    const std::pair<const char*, double> stats[] = {
+        {"sum", h->sum()},          {"min", h->min()},
+        {"p50", h->quantile(0.50)}, {"p95", h->quantile(0.95)},
+        {"p99", h->quantile(0.99)}, {"max", h->max()}};
+    for (const auto& [stat, value] : stats) {
+      out += ' ' + std::string(stat) + '=';
+      append_json_number(out, value);
+    }
+    out += '\n';
   }
-  return oss.str();
+  return out;
 }
 
 std::string MetricsRegistry::render_json() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream oss;
-  oss << "{\"counters\":{";
+  std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    if (!first) oss << ',';
+    if (!first) out += ',';
     first = false;
-    append_json_string(oss, name);
-    oss << ':' << c->value();
+    append_json_string(out, name);
+    out += ':' + std::to_string(c->value());
   }
-  oss << "},\"gauges\":{";
+  out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    if (!first) oss << ',';
+    if (!first) out += ',';
     first = false;
-    append_json_string(oss, name);
-    oss << ':';
-    append_number(oss, g->value());
+    append_json_string(out, name);
+    out += ':';
+    append_json_number(out, g->value());
   }
-  oss << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) oss << ',';
+    if (!first) out += ',';
     first = false;
-    append_json_string(oss, name);
-    oss << ":{\"count\":" << h->count() << ",\"sum\":";
-    append_number(oss, h->sum());
-    oss << ",\"mean\":";
-    append_stat(oss, *h, h->mean());
-    oss << ",\"min\":";
-    append_stat(oss, *h, h->min());
-    oss << ",\"p50\":";
-    append_stat(oss, *h, h->quantile(0.50));
-    oss << ",\"p90\":";
-    append_stat(oss, *h, h->quantile(0.90));
-    oss << ",\"p95\":";
-    append_stat(oss, *h, h->quantile(0.95));
-    oss << ",\"p99\":";
-    append_stat(oss, *h, h->quantile(0.99));
-    oss << ",\"max\":";
-    append_stat(oss, *h, h->max());
-    oss << '}';
+    append_json_string(out, name);
+    out += ":{\"count\":" + std::to_string(h->count()) + ",\"sum\":";
+    append_json_number(out, h->sum());
+    const std::pair<const char*, double> stats[] = {
+        {"mean", h->mean()},        {"min", h->min()},
+        {"p50", h->quantile(0.50)}, {"p90", h->quantile(0.90)},
+        {"p95", h->quantile(0.95)}, {"p99", h->quantile(0.99)},
+        {"max", h->max()}};
+    for (const auto& [stat, value] : stats) {
+      out += ",\"" + std::string(stat) + "\":";
+      // `null` while empty: 0.0 would read as a real observation.
+      if (h->count() == 0) {
+        out += "null";
+      } else {
+        append_json_number(out, value);
+      }
+    }
+    out += '}';
   }
-  oss << "}}";
-  return oss.str();
+  out += "}}";
+  return out;
 }
 
 std::string MetricsRegistry::render_prometheus() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream oss;
+  std::string out;
   for (const auto& [name, c] : counters_) {
     const std::string exposition = prometheus_name(name);
-    append_prometheus_header(oss, name, exposition, "counter");
-    oss << exposition << ' ' << c->value() << '\n';
+    append_prometheus_header(out, name, exposition, "counter");
+    out += exposition + ' ' + std::to_string(c->value()) + '\n';
   }
   for (const auto& [name, g] : gauges_) {
     const std::string exposition = prometheus_name(name);
-    append_prometheus_header(oss, name, exposition, "gauge");
-    oss << exposition << ' ';
-    append_number(oss, g->value());
-    oss << '\n';
+    append_prometheus_header(out, name, exposition, "gauge");
+    out += exposition + ' ';
+    append_json_number(out, g->value());
+    out += '\n';
   }
   for (const auto& [name, h] : histograms_) {
     const std::string exposition = prometheus_name(name);
-    append_prometheus_header(oss, name, exposition, "summary");
+    append_prometheus_header(out, name, exposition, "summary");
     // Quantile series only make sense once something was observed; _sum and
     // _count are always well defined.
     if (h->count() > 0) {
@@ -302,16 +246,16 @@ std::string MetricsRegistry::render_prometheus() const {
       static constexpr QuantilePoint kQuantiles[] = {
           {"0.5", 0.50}, {"0.9", 0.90}, {"0.95", 0.95}, {"0.99", 0.99}};
       for (const QuantilePoint& point : kQuantiles) {
-        oss << exposition << "{quantile=\"" << point.label << "\"} ";
-        append_number(oss, h->quantile(point.q));
-        oss << '\n';
+        out += exposition + "{quantile=\"" + point.label + "\"} ";
+        append_json_number(out, h->quantile(point.q));
+        out += '\n';
       }
     }
-    oss << exposition << "_sum ";
-    append_number(oss, h->sum());
-    oss << '\n' << exposition << "_count " << h->count() << '\n';
+    out += exposition + "_sum ";
+    append_json_number(out, h->sum());
+    out += '\n' + exposition + "_count " + std::to_string(h->count()) + '\n';
   }
-  return oss.str();
+  return out;
 }
 
 namespace {

@@ -1,252 +1,57 @@
 #include "obs/span_log.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <chrono>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
-#include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
 
 namespace spca {
 
 namespace {
 
-void append_number(std::ostringstream& oss, double value) {
-  oss << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << value;
-}
-
-void append_escaped(std::ostringstream& oss, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') oss << '\\';
-    oss << c;
+/// Unlike an event line, a span line must carry every key.
+[[nodiscard]] Span parse_span(std::string_view line) {
+  Span span;
+  const std::uint64_t seen =
+      read_json_line(line, "SpanLog",
+                     {{"node", &span.node},
+                      {"stage", &span.stage},
+                      {"interval", &span.interval},
+                      {"start_unix_s", &span.start_unix_seconds},
+                      {"duration_s", &span.duration_seconds}});
+  if (seen != (1u << 5) - 1) {
+    throw InputError("SpanLog: missing required span keys in JSON line");
   }
-}
-
-/// Single-line parser for the flat objects `to_json` emits: string and
-/// number values only, no nesting, no escape sequences beyond \" and \\ in
-/// strings (mirrors the EventTrace parser).
-class LineParser final {
- public:
-  explicit LineParser(const std::string& line) : line_(line) {}
-
-  [[nodiscard]] Span parse() {
-    Span span;
-    skip_ws();
-    expect('{');
-    for (;;) {
-      skip_ws();
-      if (peek() == '}') break;
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      apply(span, key);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      break;
-    }
-    expect('}');
-    skip_ws();
-    if (pos_ != line_.size()) {
-      throw InputError("SpanLog: trailing characters in JSON line");
-    }
-    if (seen_ != kAllKeys) {
-      throw InputError("SpanLog: JSON line is missing required span keys");
-    }
-    return span;
-  }
-
- private:
-  [[nodiscard]] char peek() const {
-    if (pos_ >= line_.size()) {
-      throw InputError("SpanLog: truncated JSON line");
-    }
-    return line_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw InputError(std::string("SpanLog: expected '") + c +
-                       "' in JSON line");
-    }
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < line_.size() &&
-           std::isspace(static_cast<unsigned char>(line_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') break;
-      if (c == '\\') {
-        out.push_back(peek());
-        ++pos_;
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < line_.size() &&
-           (std::isdigit(static_cast<unsigned char>(line_[pos_])) != 0 ||
-            line_[pos_] == '-' || line_[pos_] == '+' || line_[pos_] == '.' ||
-            line_[pos_] == 'e' || line_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      throw InputError("SpanLog: expected a number in JSON line");
-    }
-    double value = 0.0;
-    const char* begin = line_.data() + start;
-    const char* end = line_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr != end) {
-      throw InputError("SpanLog: malformed number in JSON line");
-    }
-    return value;
-  }
-
-  void apply(Span& span, const std::string& key) {
-    if (key == "node") {
-      span.node = parse_string();
-      seen_ |= 1u << 0;
-    } else if (key == "stage") {
-      span.stage = parse_string();
-      seen_ |= 1u << 1;
-    } else if (key == "interval") {
-      span.interval = static_cast<std::int64_t>(parse_number());
-      seen_ |= 1u << 2;
-    } else if (key == "start_unix_s") {
-      span.start_unix_seconds = parse_number();
-      seen_ |= 1u << 3;
-    } else if (key == "duration_s") {
-      span.duration_seconds = parse_number();
-      seen_ |= 1u << 4;
-    } else {
-      throw InputError("SpanLog: unknown key '" + key + "' in JSON line");
-    }
-  }
-
-  static constexpr unsigned kAllKeys = (1u << 5) - 1;
-
-  const std::string& line_;
-  std::size_t pos_ = 0;
-  unsigned seen_ = 0;
-};
-
-[[nodiscard]] double unix_now_seconds() {
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
-
-[[nodiscard]] std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  return span;
 }
 
 }  // namespace
 
 std::string to_json(const Span& span) {
-  std::ostringstream oss;
-  oss << "{\"node\":\"";
-  append_escaped(oss, span.node);
-  oss << "\",\"stage\":\"";
-  append_escaped(oss, span.stage);
-  oss << "\",\"interval\":" << span.interval << ",\"start_unix_s\":";
-  append_number(oss, span.start_unix_seconds);
-  oss << ",\"duration_s\":";
-  append_number(oss, span.duration_seconds);
-  oss << '}';
-  return oss.str();
-}
-
-SpanLog::SpanLog(std::size_t capacity) : capacity_(capacity) {
-  SPCA_EXPECTS(capacity >= 1);
-  ring_.reserve(std::min<std::size_t>(capacity, 1024));
+  return JsonLineWriter()
+      .string("node", span.node)
+      .string("stage", span.stage)
+      .integer("interval", span.interval)
+      .number("start_unix_s", span.start_unix_seconds)
+      .number("duration_s", span.duration_seconds)
+      .finish();
 }
 
 void SpanLog::record(Span span) {
   MetricsRegistry::global()
       .histogram("spca.latency." + span.stage)
       .record(span.duration_seconds);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-  } else {
-    ring_[recorded_ % capacity_] = std::move(span);
-  }
-  ++recorded_;
+  ring_.push(std::move(span));
 }
 
-std::vector<Span> SpanLog::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Span> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    const std::size_t oldest = recorded_ % capacity_;
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(oldest + i) % capacity_]);
-    }
-  }
-  return out;
-}
-
-std::uint64_t SpanLog::recorded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_;
-}
-
-void SpanLog::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  recorded_ = 0;
-}
-
-std::string SpanLog::to_jsonl() const {
-  std::string out;
-  for (const Span& span : snapshot()) {
-    out += to_json(span);
-    out += '\n';
-  }
-  return out;
-}
+std::string SpanLog::to_jsonl() const { return to_json_lines(snapshot()); }
 
 std::vector<Span> SpanLog::parse_jsonl(const std::string& text) {
-  std::vector<Span> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    out.push_back(LineParser(line).parse());
-  }
-  return out;
+  return parse_json_lines(text, parse_span);
 }
 
 SpanLog& SpanLog::global() {
@@ -256,7 +61,7 @@ SpanLog& SpanLog::global() {
 
 ScopedSpan::ScopedSpan(std::string node, const char* stage,
                        std::int64_t interval)
-    : start_ns_(steady_now_ns()) {
+    : start_(std::chrono::steady_clock::now()) {
   span_.node = std::move(node);
   span_.stage = stage;
   span_.interval = interval;
@@ -265,8 +70,9 @@ ScopedSpan::ScopedSpan(std::string node, const char* stage,
 
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
-  span_.duration_seconds =
-      static_cast<double>(steady_now_ns() - start_ns_) * 1e-9;
+  span_.duration_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
   SpanLog::global().record(std::move(span_));
 }
 

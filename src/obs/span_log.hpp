@@ -16,10 +16,12 @@
 // trees — `structural_signature` is the comparison the parity tests use.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/bounded_ring.hpp"
 
 namespace spca {
 
@@ -47,25 +49,25 @@ struct Span {
   [[nodiscard]] bool operator==(const Span&) const = default;
 };
 
-/// Thread-safe bounded ring of Spans, mirroring EventTrace: when full the
-/// oldest span is overwritten and `recorded()` keeps the lifetime total.
+/// Thread-safe bounded ring (BoundedRing) of Spans: when full the oldest
+/// span is overwritten and `recorded()` keeps the lifetime total.
 class SpanLog final {
  public:
-  explicit SpanLog(std::size_t capacity = 65536);
+  explicit SpanLog(std::size_t capacity = 65536) : ring_(capacity) {}
 
   /// Records one span and feeds spca.latency.<stage> in the global
   /// MetricsRegistry.
   void record(Span span);
 
   /// Buffered spans, oldest first.
-  [[nodiscard]] std::vector<Span> snapshot() const;
+  [[nodiscard]] std::vector<Span> snapshot() const {
+    return ring_.snapshot().items;
+  }
 
   /// Total spans ever recorded (>= snapshot().size()).
-  [[nodiscard]] std::uint64_t recorded() const;
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  void clear();
+  void clear() { ring_.clear(); }
 
   /// One JSON object per line, oldest first.
   [[nodiscard]] std::string to_jsonl() const;
@@ -79,10 +81,7 @@ class SpanLog final {
   [[nodiscard]] static SpanLog& global();
 
  private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::uint64_t recorded_ = 0;
-  std::vector<Span> ring_;  // insertion position = recorded_ % capacity_
+  BoundedRing<Span> ring_;
 };
 
 /// Serializes one span as a single JSON object (no trailing newline).
@@ -102,7 +101,7 @@ class ScopedSpan final {
 
  private:
   Span span_;
-  std::uint64_t start_ns_;  // monotonic
+  std::chrono::steady_clock::time_point start_;
   bool active_ = true;
 };
 

@@ -1,8 +1,8 @@
 // Loopback end-to-end of the 2-level hierarchy: a root NocDaemon, a tier of
 // RegionalDaemons, and the shard monitors as real TcpTransport endpoints on
 // 127.0.0.1 must reproduce the flat SimNetwork reference bit for bit,
-// survive a regional NOC kill + restart mid-run via the SPCR snapshot, and
-// serve the regional status endpoint live.
+// survive a regional NOC kill + restart mid-run via the SPCR snapshot,
+// refuse dials once finished, and serve the regional status endpoint live.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dist/aggregate.hpp"
 #include "hier/hier_scenario.hpp"
 #include "hier/regional_daemon.hpp"
@@ -209,6 +210,33 @@ TEST(HierDaemons, TwoLevelLoopbackMatchesTheFlatSimReferenceBitForBit) {
   EXPECT_EQ(acc.monitor_to_region_messages,
             config.monitors * (config.intervals + pulls));
   EXPECT_EQ(acc.request_messages, pulls * (kRegions + config.monitors));
+}
+
+TEST(HierDaemons, FinishedRegionRefusesNewConnections) {
+  // Once a region's run() returns, a monitor's redial must not reach that
+  // incarnation, even though the object lives on.
+  const NetScenarioConfig config = small_scenario();
+  NocDaemonConfig noc_config;
+  noc_config.scenario = config;
+  noc_config.regions = kRegions;
+  noc_config.interval_deadline = 30000ms;
+  NocDaemon noc(noc_config);
+  noc.start();
+
+  Tier tier;
+  start_tier(tier, config, noc.bound_port());
+  (void)noc.run();
+  tier.join_and_rethrow();
+
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    EXPECT_THROW(
+        (void)TcpStream::connect("127.0.0.1", tier.region_ports[r], 1000ms),
+        TransportError)
+        << "region " << r;
+    EXPECT_EQ(tier.regions[r]->bound_port(), tier.region_ports[r]);
+    EXPECT_EQ(tier.region_results[r].next_interval,
+              static_cast<std::int64_t>(config.intervals));
+  }
 }
 
 TEST(HierDaemons, RegionalKillAndRestartRecoversBitIdentically) {

@@ -1,8 +1,8 @@
 // Loopback end-to-end of the daemon pair: a NocDaemon and its MonitorDaemons
 // running as real TcpTransport endpoints on 127.0.0.1 must reproduce the
 // SimNetwork reference trajectory bit for bit, survive a monitor kill and
-// restart mid-run, tolerate monitors dialing before the NOC listens, and
-// re-send a report whose send failed.
+// restart mid-run, tolerate monitors dialing before the NOC listens,
+// re-send a report whose send failed, and find a finished NOC closed.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -84,8 +84,10 @@ void expect_matches_reference(const ScenarioRun& run,
   }
 }
 
-TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
-  const NetScenarioConfig config = small_scenario();
+/// Runs `config` over loopback TCP (the NOC on this thread, one thread per
+/// monitor) and checks it against the SimNetwork reference: trajectory bit
+/// for bit, and the deployment-wide wire accounting byte for byte.
+void expect_loopback_matches_reference(const NetScenarioConfig& config) {
   const NetScenario scenario = build_scenario(config);
   const ScenarioRun reference = run_scenario_reference(scenario);
 
@@ -125,6 +127,53 @@ TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
     total += result.stats;
   }
   EXPECT_TRUE(total == reference.stats);
+}
+
+TEST(Daemons, LoopbackDeploymentMatchesSimReferenceBitForBit) {
+  expect_loopback_matches_reference(small_scenario());
+  for (const std::uint64_t seed : {11ull, 23ull}) {
+    for (const std::size_t monitors : {1u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", monitors " +
+                   std::to_string(monitors));
+      NetScenarioConfig config = small_scenario();
+      config.seed = seed;
+      config.monitors = monitors;
+      config.anomalies = 2;
+      expect_loopback_matches_reference(config);
+    }
+  }
+}
+
+TEST(Daemons, FinishedNocRefusesNewConnections) {
+  // A planned stop, as in a chaos NOC kill: once run() returns, a monitor's
+  // redial must not reach this incarnation (and lose its next frame to it),
+  // even though the object lives on.
+  NetScenarioConfig config = small_scenario();
+  config.monitors = 1;
+  const auto last = static_cast<std::int64_t>(config.window) + 2;
+  NocDaemonConfig noc_config;
+  noc_config.scenario = config;
+  noc_config.last_interval = last;
+  noc_config.interval_deadline = 30000ms;
+  NocDaemon noc(noc_config);
+  noc.start();
+  const std::uint16_t port = noc.bound_port();
+
+  MonitorDaemonConfig monitor = monitor_config(config, 1, port);
+  monitor.last_interval = last;
+  MonitorDaemonResult result;
+  std::exception_ptr error;
+  std::thread thread(run_monitor, monitor, std::ref(result), std::ref(error));
+  const ScenarioRun run = noc.run();
+  EXPECT_THROW((void)TcpStream::connect("127.0.0.1", port, 1000ms),
+               TransportError);
+  thread.join();
+  if (error) std::rethrow_exception(error);
+
+  EXPECT_EQ(result.intervals_reported, last);
+  EXPECT_EQ(noc.bound_port(), port);
+  EXPECT_EQ(noc.reconnects(), 0u);
+  EXPECT_GT(run.stats.messages, 0u);
 }
 
 TEST(Daemons, MonitorKillAndRestartSurvivesViaReconnect) {

@@ -1,14 +1,11 @@
-// Satellite (d): the detection trajectory and the byte-level accounting of a
-// deployment must be invariant under the transport — in-process queues
-// (SimNetwork) versus real loopback TCP sockets (TcpBus) — bit for bit.
+// The transport override of the single-process reference: handing
+// run_scenario_reference an explicit SimNetwork must be indistinguishable
+// from its built-in one. (Sim-vs-TCP parity over real sockets is checked
+// by the daemon loopback tests.)
 #include <gtest/gtest.h>
-
-#include <cstdint>
-#include <vector>
 
 #include "dist/sim_network.hpp"
 #include "net/scenario.hpp"
-#include "net/tcp_bus.hpp"
 
 namespace spca {
 namespace {
@@ -23,67 +20,6 @@ NetScenarioConfig small_scenario() {
   config.seed = 7;
   config.anomalies = 3;
   return config;
-}
-
-TcpBus bus_for(const NetScenarioConfig& config) {
-  std::vector<NodeId> nodes{kNocId};
-  for (const NodeId id : scenario_monitor_ids(config.monitors)) {
-    nodes.push_back(id);
-  }
-  return TcpBus(nodes);
-}
-
-TEST(TransportParity, TrajectoriesAreBitIdentical) {
-  const NetScenario scenario = build_scenario(small_scenario());
-
-  const ScenarioRun sim = run_scenario_reference(scenario, nullptr);
-  TcpBus bus = bus_for(scenario.config);
-  const ScenarioRun tcp = run_scenario_reference(scenario, &bus);
-
-  ASSERT_FALSE(sim.distances.empty());
-  EXPECT_EQ(tcp.alarm_intervals, sim.alarm_intervals);
-  // Exact equality, not approximate: the bytes crossing the loopback stack
-  // must decode to the same doubles the simulation handed over directly.
-  ASSERT_EQ(tcp.distances.size(), sim.distances.size());
-  for (std::size_t i = 0; i < sim.distances.size(); ++i) {
-    EXPECT_EQ(tcp.distances[i], sim.distances[i]) << "interval index " << i;
-  }
-}
-
-TEST(TransportParity, NetworkStatsMatchByteForByte) {
-  const NetScenario scenario = build_scenario(small_scenario());
-
-  const ScenarioRun sim = run_scenario_reference(scenario, nullptr);
-  TcpBus bus = bus_for(scenario.config);
-  const ScenarioRun tcp = run_scenario_reference(scenario, &bus);
-
-  EXPECT_GT(sim.stats.messages, 0u);
-  EXPECT_TRUE(tcp.stats == sim.stats);
-  for (std::size_t i = 1; i <= 4; ++i) {
-    EXPECT_EQ(tcp.stats.messages_by_type[i], sim.stats.messages_by_type[i]);
-    EXPECT_EQ(tcp.stats.bytes_by_type[i], sim.stats.bytes_by_type[i]);
-  }
-}
-
-TEST(TransportParity, HoldsAcrossSeedsAndMonitorCounts) {
-  for (const std::uint64_t seed : {11ull, 23ull}) {
-    for (const std::size_t monitors : {1u, 4u}) {
-      NetScenarioConfig config = small_scenario();
-      config.seed = seed;
-      config.monitors = monitors;
-      config.anomalies = 2;
-      const NetScenario scenario = build_scenario(config);
-
-      const ScenarioRun sim = run_scenario_reference(scenario, nullptr);
-      TcpBus bus = bus_for(config);
-      const ScenarioRun tcp = run_scenario_reference(scenario, &bus);
-
-      EXPECT_EQ(tcp.alarm_intervals, sim.alarm_intervals)
-          << "seed " << seed << ", monitors " << monitors;
-      EXPECT_TRUE(tcp.stats == sim.stats)
-          << "seed " << seed << ", monitors " << monitors;
-    }
-  }
 }
 
 TEST(TransportParity, ExplicitSimNetworkMatchesDefaultTransport) {

@@ -1,4 +1,5 @@
-// The detection-event ring buffer and its JSON-lines export format.
+// The detection-event trace's JSON-lines export format (the ring under it
+// is tested as BoundedRing).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,38 +20,6 @@ DetectionEvent make_event(std::int64_t t) {
   e.refreshed = (t % 3) == 0;
   e.alarm = (t % 2) == 0;
   return e;
-}
-
-TEST(EventTrace, KeepsInsertionOrderBelowCapacity) {
-  EventTrace trace(8);
-  for (std::int64_t t = 0; t < 5; ++t) trace.record(make_event(t));
-  const auto events = trace.snapshot();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(trace.recorded(), 5u);
-  for (std::int64_t t = 0; t < 5; ++t) {
-    EXPECT_EQ(events[static_cast<std::size_t>(t)], make_event(t));
-  }
-}
-
-TEST(EventTrace, RingOverwritesOldestFirst) {
-  EventTrace trace(4);
-  for (std::int64_t t = 0; t < 10; ++t) trace.record(make_event(t));
-  EXPECT_EQ(trace.recorded(), 10u);
-  const auto events = trace.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // The four newest survive, oldest first: intervals 6, 7, 8, 9.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].interval, static_cast<std::int64_t>(6 + i));
-  }
-}
-
-TEST(EventTrace, ClearEmptiesBufferAndTotal) {
-  EventTrace trace(4);
-  trace.record(make_event(1));
-  trace.clear();
-  EXPECT_EQ(trace.recorded(), 0u);
-  EXPECT_TRUE(trace.snapshot().empty());
-  EXPECT_EQ(trace.to_jsonl(), "");
 }
 
 TEST(EventTrace, JsonObjectHasTheDocumentedKeys) {
@@ -100,6 +69,9 @@ TEST(EventTrace, ParseRejectsMalformedLines) {
   EXPECT_THROW((void)EventTrace::parse_jsonl("{\"interval\":abc}"),
                InputError);
   EXPECT_THROW((void)EventTrace::parse_jsonl("{\"unknown\":1}"), InputError);
+  EXPECT_THROW((void)EventTrace::parse_jsonl("{\"rank\":-1}"), InputError);
+  EXPECT_THROW((void)EventTrace::parse_jsonl("{\"interval\":1e300}"),
+               InputError);
   EXPECT_THROW(
       (void)EventTrace::parse_jsonl(to_json(make_event(1)) + " trailing"),
       InputError);

@@ -1,6 +1,7 @@
-// Flight-recorder semantics: disabled-by-default no-ops, ring wrap, the
-// JSONL dump format (header line + oldest-first entries), the async-safe
-// request/poll dump handshake, and entry serialization.
+// Flight-recorder semantics: disabled-by-default no-ops, lifetime seq
+// numbers across a ring wrap, the JSONL dump format (header line +
+// oldest-first entries), the async-safe request/poll dump handshake, and
+// entry serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -93,12 +94,41 @@ TEST(FlightRecorder, RingKeepsOnlyTheMostRecentEntries) {
   for (int i = 0; i < 10; ++i) {
     recorder.note("tick", i);
   }
-  EXPECT_EQ(recorder.recorded(), 10u);
+  // After the 4-slot ring wrapped, each survivor's seq is still its
+  // lifetime index, which is the interval it noted.
   const std::vector<FlightEntry> entries = recorder.snapshot();
   ASSERT_EQ(entries.size(), 4u);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].interval, static_cast<std::int64_t>(6 + i));
     EXPECT_EQ(entries[i].seq, 6 + i);
+    EXPECT_EQ(entries[i].seq,
+              static_cast<std::uint64_t>(entries[i].interval));
+  }
+}
+
+TEST(FlightRecorder, ReconfigureResizesAndEmptiesTheRing) {
+  DumpDir dir("resize");
+  FlightRecorder recorder;
+  recorder.configure(dir.str(), 2);
+  for (int i = 0; i < 3; ++i) {
+    recorder.note("tick", i);
+  }
+  ASSERT_EQ(recorder.snapshot().size(), 2u);
+
+  // A second configure() drops what the old ring held, restarts seq at 0
+  // and keeps up to the new capacity.
+  recorder.configure(dir.str(), 5);
+  EXPECT_EQ(recorder.recorded(), 0u);
+  EXPECT_TRUE(recorder.snapshot().empty());
+  for (int i = 0; i < 7; ++i) {
+    recorder.note("tock", i);
+  }
+  EXPECT_EQ(recorder.recorded(), 7u);
+  const std::vector<FlightEntry> entries = recorder.snapshot();
+  ASSERT_EQ(entries.size(), 5u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].label, "tock");
+    EXPECT_EQ(entries[i].seq, 2 + i);
+    EXPECT_EQ(entries[i].interval, static_cast<std::int64_t>(2 + i));
   }
 }
 

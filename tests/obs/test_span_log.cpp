@@ -1,12 +1,11 @@
-// Interval tracing semantics: span ring behavior, JSONL round trips
-// (including multi-process concatenation), the ScopedSpan probe, the
-// latency-histogram feed, and the structural signature the sim-vs-TCP
-// parity tests compare.
+// Interval tracing semantics: JSONL round trips (including multi-process
+// concatenation), the ScopedSpan probe, the latency-histogram feed, and the
+// structural signature the sim-vs-TCP parity tests compare. The ring under
+// the span log is tested as BoundedRing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -38,28 +37,6 @@ TEST(SpanLog, RecordsInOrderAndCountsLifetimeTotal) {
   EXPECT_EQ(spans[0].node, "noc");
   EXPECT_EQ(spans[1].node, "monitor1");
   EXPECT_EQ(log.recorded(), 2u);
-}
-
-TEST(SpanLog, RingOverwritesOldestWhenFull) {
-  SpanLog log(4);
-  for (std::int64_t t = 0; t < 10; ++t) {
-    log.record(make_span("noc", kStageDecision, t));
-  }
-  EXPECT_EQ(log.recorded(), 10u);
-  const std::vector<Span> spans = log.snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest first: intervals 6, 7, 8, 9 survive.
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].interval, static_cast<std::int64_t>(6 + i));
-  }
-}
-
-TEST(SpanLog, ClearEmptiesTheRingAndTheLifetimeCount) {
-  SpanLog log(4);
-  log.record(make_span("noc", kStageRefit, 1));
-  log.clear();
-  EXPECT_EQ(log.recorded(), 0u);
-  EXPECT_TRUE(log.snapshot().empty());
 }
 
 TEST(SpanLog, JsonlRoundTripIsLossless) {
@@ -98,30 +75,6 @@ TEST(SpanLog, RecordFeedsTheStageLatencyHistogram) {
   log.record(make_span("monitor1", kStageSketchClose, 0, 1.0, 0.125));
   EXPECT_EQ(h.count(), before + 1);
   EXPECT_GE(h.max(), 0.125);
-}
-
-TEST(SpanLog, ConcurrentRecordsAreLossless) {
-  SpanLog log(1 << 16);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&log, w] {
-      for (int i = 0; i < kPerThread; ++i) {
-        Span span;
-        span.node = "monitor" + std::to_string(w);
-        span.stage = kStageWireTx;
-        span.interval = i;
-        log.record(std::move(span));
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  EXPECT_EQ(log.recorded(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(log.snapshot().size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
 TEST(ScopedSpan, RecordsIntoTheGlobalLogOnDestruction) {
